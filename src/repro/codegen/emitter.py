@@ -20,13 +20,26 @@ semantics with bounded detection latency.  Materializing operators
 (sort, cross product, Tmp^cs, MemoX) charge byte budgets per snapshot
 exactly like the interpreter's ``snapshot_cost``.
 
-Operators with no emitter (index scans, binary grouping) raise
+Index scans (``IdxName`` / ``IdxDesc``) are lowered like any other
+location step: per context tuple the generated code asks
+:func:`~repro.index.runtime.subtree_candidates` — the same helper the
+iterator engine's adaptive scans call — for the posting-list interval
+slice, substitutes the navigated axis when the helper declines, and
+runs *one* candidate loop over whichever it got (node test inlined,
+``candidate.parent is context`` for the child variant), so the
+consumer is emitted once per step however many steps are routed.
+``index_hits`` / ``index_skips`` / ``index_candidates`` accumulate in
+locals and are flushed into :attr:`GeneratedPlan.stats` once per
+execution.
+
+Operators with no emitter (binary grouping) raise
 :class:`CodegenUnsupported`; callers fall back to the iterator engine.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
 from typing import Callable, List, Optional, Sequence, Set
 
@@ -135,7 +148,9 @@ def _referenced_registers(lines: Sequence[str]) -> List[str]:
     return sorted(refs, key=lambda name: int(name[1:]))
 
 
-def _render(fn: _Fn, depth: int, preamble: Sequence[str]) -> List[str]:
+def _render(fn: _Fn, depth: int, preamble: Sequence[str],
+            shared: str) -> List[str]:
+    """Render ``fn``; nested defs declare the ``shared`` counters."""
     pad = "    " * depth
     inner = "    " * (depth + 1)
     out = [f"{pad}def {fn.name}({fn.params}):"]
@@ -145,7 +160,7 @@ def _render(fn: _Fn, depth: int, preamble: Sequence[str]) -> List[str]:
         # Registers arrive as parameters (the caller passes its current
         # values, mirroring the interpreter seeding a nested plan from
         # the outer tuple), so only the shared counters need wiring.
-        out.extend(_render(sub, depth + 1, ["nonlocal _ev, _tu"]))
+        out.extend(_render(sub, depth + 1, [f"nonlocal {shared}"], shared))
     for line in fn.lines:
         out.append(inner + line)
     # Every emitted function is a generator, even when its body turned
@@ -165,6 +180,9 @@ class _Emitter:
         #: Per-execution setup lines in the main function (memo dicts,
         #: namespace-sensitive node-test closures).
         self.hoist: List[str] = []
+        #: Set once an index scan is lowered: the plan then carries the
+        #: ``_nh``/``_ns``/``_nc`` probe counters and their flush.
+        self.index_counters = False
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -416,7 +434,7 @@ class _Emitter:
     # -- unnesting -----------------------------------------------------
 
     def _emit_UnnestMap(self, plan: ops.UnnestMap, fn: _Fn,
-                        consume: Consume) -> None:
+                        consume: Consume, indexed: bool = False) -> None:
         src = f"r{self.slot(plan.in_attr)}"
         out_slot = self.slot(plan.out_attr)
         template = _INLINE_AXIS.get(plan.axis)
@@ -440,8 +458,26 @@ class _Emitter:
             f.w("else:")
             with f.block():
                 cand = f"_c{i}"
-                f.w(f"for {cand} in {axis_expr}:")
+                source = axis_expr
+                if indexed:
+                    # Index or navigation is decided per context tuple;
+                    # both feed the one candidate loop below.
+                    self.index_counters = True
+                    source = f"_ic{i}"
+                    f.w(f"{source} = _index_candidates("
+                        f"{src}, {plan.test_name!r})")
+                    f.w(f"_ix{i} = {source} is not None")
+                    f.w(f"if _ix{i}:")
+                    with f.block():
+                        f.w("_nh += 1")
+                    f.w("else:")
+                    with f.block():
+                        f.w("_ns += 1")
+                        f.w(f"{source} = {axis_expr}")
+                f.w(f"for {cand} in {source}:")
                 with f.block():
+                    if indexed:
+                        f.w(f"_nc += _ix{i}")
                     self.gov_tick(f)
 
                     def matched(ff: _Fn) -> None:
@@ -450,9 +486,25 @@ class _Emitter:
                         self.gov_tuple(ff)
                         consume(ff)
 
-                    self._emit_node_test(plan, f, cand, matched)
+                    if indexed and plan.axis == Axis.CHILD:
+                        # The interval holds every descendant; proxies
+                        # are singletons per id, so identity is the
+                        # exact parent test (navigated children pass).
+                        f.w(f"if {cand}.parent is {src} or not _ix{i}:")
+                        with f.block():
+                            self._emit_node_test(plan, f, cand, matched)
+                    else:
+                        self._emit_node_test(plan, f, cand, matched)
 
         self.emit(plan.child, fn, unnested)
+
+    def _emit_IndexNameScan(self, plan: ops.IndexNameScan, fn: _Fn,
+                            consume: Consume) -> None:
+        self._emit_UnnestMap(plan, fn, consume, indexed=True)
+
+    def _emit_IndexDescendantScan(self, plan: ops.IndexDescendantScan,
+                                  fn: _Fn, consume: Consume) -> None:
+        self._emit_UnnestMap(plan, fn, consume, indexed=True)
 
     def _emit_node_test(self, plan: ops.UnnestMap, fn: _Fn, cand: str,
                         body: Consume) -> None:
@@ -751,13 +803,23 @@ class GeneratedPlan:
     mutable register file and must be thread-confined).
     """
 
-    __slots__ = ("fn", "kind", "source", "stats")
+    __slots__ = ("fn", "kind", "source", "stats", "_stats_lock")
 
     def __init__(self, fn, kind: str, source: str):
         self.fn = fn
         self.kind = kind
         self.source = source
         self.stats: Counter = Counter()
+        self._stats_lock = threading.Lock()
+
+    def note_index_probes(self, hits: int, skips: int,
+                          candidates: int) -> None:
+        """One execution's index-scan counters (called by the generated
+        function as it finishes, aborts or is closed early)."""
+        with self._stats_lock:
+            self.stats["index_hits"] += hits
+            self.stats["index_skips"] += skips
+            self.stats["index_candidates"] += candidates
 
     def execute(self, context: ExecutionContext):
         """Run the generated function; mirrors PhysicalPlan.execute."""
@@ -852,8 +914,17 @@ def generate_python(translation, options=None,
     if size_slot is not None:
         preamble.append(f"r{size_slot} = float(ctx.size)")
     preamble.extend(emitter.hoist)
+    shared = "_ev, _tu"
+    if emitter.index_counters:
+        shared += ", _nh, _ns, _nc"
+        preamble.append("_nh = _ns = _nc = 0")
+        main.lines = (
+            ["try:"]
+            + ["    " + line for line in main.lines]
+            + ["finally:", "    _note_index_probes(_nh, _ns, _nc)"]
+        )
 
-    src = "\n".join(_render(main, 0, preamble)) + "\n"
+    src = "\n".join(_render(main, 0, preamble, shared)) + "\n"
     label = source.replace("\n", " ")[:60] or "plan"
     try:
         code = compile(src, f"<pycodegen: {label}>", "exec")
@@ -861,4 +932,6 @@ def generate_python(translation, options=None,
         raise CodegenUnsupported(f"generated source does not parse: {error}")
     namespace = base_namespace()
     exec(code, namespace)  # noqa: S102 - trusted, self-generated source
-    return GeneratedPlan(namespace["__plan__"], translation.kind, src)
+    generated = GeneratedPlan(namespace["__plan__"], translation.kind, src)
+    namespace["_note_index_probes"] = generated.note_index_probes
+    return generated

@@ -22,6 +22,7 @@ from repro.engine.subscripts import (
     coerce,
 )
 from repro.errors import ExecutionError
+from repro.index.runtime import subtree_candidates
 from repro.xpath.axes import Axis, NodeTestKind, iter_axis, make_node_test
 from repro.xpath.datamodel import XPathType, arith, compare, to_boolean
 
@@ -145,6 +146,7 @@ def base_namespace() -> Dict[str, object]:
         "_root": root_of,
         "_agg": agg_over,
         "_iter_axis": iter_axis,
+        "_index_candidates": subtree_candidates,
         "_make_node_test": make_node_test,
         "_sort_key0": _sort_key0,
     }

@@ -95,8 +95,11 @@ class CostModel:
     cpu_visit: float = 1.0
     #: Producing one output tuple (one ``next()``).
     cpu_next: float = 0.1
-    #: One posting-list binary search (per context tuple).
-    cpu_bisect: float = 1.0
+    #: One index probe per context tuple (helper call, extent lookup,
+    #: two posting-list bisects, slice), in node visits.  Measured on
+    #: generated code, not guessed: 1.6–2.1 µs against ~70 ns per
+    #: rejected child (docs/optimizer.md has the calibration).
+    cpu_bisect: float = 25.0
     #: Default selectivity of a predicate with unknown shape.
     select_selectivity: float = 0.5
     #: Child/NODE steps also enumerate text nodes the synopsis ignores.

@@ -1,14 +1,17 @@
 """Index-backed location steps (physical IdxName / IdxDesc).
 
-Both iterators are *adaptive* unnest-maps: per input tuple they check
-whether the context node's document carries fresh structural indexes
-(:class:`~repro.index.runtime.DocumentIndexes`).  If it does, the step
-is answered from the name index — a binary-search slice of the posting
-list over the context's (pre, post) interval — and only the candidate
-ids are materialized as nodes.  If it does not (in-memory document,
-stale indexes, or a context the interval logic does not cover), the
-tuple falls back to ordinary axis navigation, so a compiled index plan
-can never produce a wrong answer on a non-indexed target.
+Both iterators are *adaptive* unnest-maps: per input tuple they ask
+:func:`~repro.index.runtime.subtree_candidates` — the one place that
+decides whether a context may use the interval probe — for the step's
+candidates.  If the context node's document carries fresh structural
+indexes, the step is answered from the name index — a binary-search
+slice of the posting list over the context's (pre, post) interval —
+and only the candidate ids are materialized as nodes.  If it does not
+(in-memory document, stale indexes, or a context the interval logic
+does not cover), the tuple falls back to ordinary axis navigation, so a
+compiled index plan can never produce a wrong answer on a non-indexed
+target.  The generated-Python backend lowers both scans onto the same
+helper (:mod:`repro.codegen.emitter`).
 
 Every index candidate is still re-checked through the compiled node
 test before it is emitted: the posting list keys the *stored* QName, a
@@ -26,41 +29,34 @@ Counters (``RuntimeState.stats``):
 
 from __future__ import annotations
 
-from repro.dom.node import Node, NodeKind
+from repro.dom.node import Node
 from repro.engine.iterator import Iterator, RuntimeState
 from repro.engine.unnest import UnnestMapIt
 from repro.errors import ExecutionError
+from repro.index.runtime import subtree_candidates
 from repro.xpath.axes import Axis, NodeTestKind, iter_axis
-
-#: Context node kinds whose pre-order id + subtree extent describe the
-#: descendant set.  Attribute/namespace proxies share their owner's
-#: pre-order rank, so the interval probe would wrongly return the
-#: owner's subtree — those contexts take the fallback path.
-_INTERVAL_KINDS = (NodeKind.ELEMENT, NodeKind.ROOT)
 
 
 class _IndexScanIt(UnnestMapIt):
     """Shared adaptive machinery of the two index scans."""
 
-    __slots__ = ("_ids", "_ids_pos", "_doc", "_context_node")
+    __slots__ = ("_from_index", "_context_node")
 
     def __init__(self, runtime: RuntimeState, child: Iterator,
                  in_slot: int, out_slot: int, axis: Axis, name: str):
         super().__init__(runtime, child, in_slot, out_slot, axis,
                          NodeTestKind.NAME, name)
-        self._ids = None
-        self._ids_pos = 0
-        self._doc = None
+        #: Whether ``_generator`` walks index candidates (re-checked by
+        #: ``_emit``) or navigated axis nodes (plain node test).
+        self._from_index = False
         self._context_node = None
 
     def open(self) -> None:
         super().open()
-        self._ids = None
-        self._doc = None
         self._context_node = None
 
     def _emit(self, candidate: Node) -> bool:
-        """Test one index candidate; bind and count it when it passes."""
+        """Whether one index candidate belongs to the step's result."""
         raise NotImplementedError
 
     def _next(self) -> bool:
@@ -69,28 +65,16 @@ class _IndexScanIt(UnnestMapIt):
         governor = self.runtime.governor
         tuples_key = f"tuples:{self.op_name}"
         while True:
-            ids = self._ids
-            if ids is not None:
-                doc = self._doc
-                while self._ids_pos < len(ids):
-                    node_id = ids[self._ids_pos]
-                    self._ids_pos += 1
-                    stats["index_candidates"] += 1
-                    if governor is not None:
-                        governor.tick()
-                    candidate = doc.node(node_id)
-                    if self._emit(candidate):
-                        regs[self.out_slot] = candidate
-                        stats[tuples_key] += 1
-                        return True
-                self._ids = None
             if self._generator is not None:
-                test = self._test
+                if self._from_index:
+                    accept, visited_key = self._emit, "index_candidates"
+                else:
+                    accept, visited_key = self._test, "axis_nodes_visited"
                 for candidate in self._generator:
-                    stats["axis_nodes_visited"] += 1
+                    stats[visited_key] += 1
                     if governor is not None:
                         governor.tick()
-                    if test(candidate):
+                    if accept(candidate):
                         regs[self.out_slot] = candidate
                         stats[tuples_key] += 1
                         return True
@@ -105,25 +89,18 @@ class _IndexScanIt(UnnestMapIt):
                     f"location step input is not a node: {context_node!r}"
                 )
             self._context_node = context_node
-            indexes = getattr(
-                getattr(context_node, "document", None), "indexes", None
-            )
-            if (indexes is not None
-                    and context_node.kind in _INTERVAL_KINDS):
+            candidates = subtree_candidates(context_node, self.test_name)
+            if candidates is not None:
                 stats["index_hits"] += 1
-                self._doc = context_node.document
-                self._ids = indexes.element_ids_in_subtree(
-                    self.test_name, context_node.sort_key[0]
-                )
-                self._ids_pos = 0
+                self._from_index = True
+                self._generator = iter(candidates)
             else:
                 stats["index_skips"] += 1
+                self._from_index = False
                 self._generator = iter_axis(self.axis, context_node)
 
     def close(self) -> None:
         super().close()
-        self._ids = None
-        self._doc = None
         self._context_node = None
 
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import BinaryIO, Dict, List, Tuple
+from typing import BinaryIO, Dict, Iterable, Optional, Tuple
 
+from repro.dom.node import Node, NodeKind
 from repro.errors import StorageError
 from repro.index.persist import (
     EXTENT_WIDTH,
@@ -171,7 +172,8 @@ class DocumentIndexes:
         return ancestor < candidate <= self.extent(ancestor)
 
     def element_ids_in_subtree(self, name: str, context_id: int,
-                               include_self: bool = False) -> List[int]:
+                               include_self: bool = False
+                               ) -> Tuple[int, ...]:
         """Ids of ``name`` elements inside ``context_id``'s subtree.
 
         A binary-search slice of the posting list over the context's
@@ -182,11 +184,11 @@ class DocumentIndexes:
         """
         posting = self.element_ids(name)
         if not posting:
-            return []
+            return _EMPTY
         low = context_id if include_self else context_id + 1
         start = bisect_left(posting, low)
         end = bisect_right(posting, self.extent(context_id))
-        return list(posting[start:end])
+        return posting[start:end]
 
     # ------------------------------------------------------------------
 
@@ -199,3 +201,35 @@ class DocumentIndexes:
             "cached_pages": self.buffer.cached_pages,
             "capacity": self.buffer.capacity,
         }
+
+
+def subtree_candidates(context_node: Node,
+                       name: str) -> Optional[Iterable[Node]]:
+    """The adaptive index-probe rule of IdxName / IdxDesc, in one place.
+
+    Returns the ``name`` elements inside ``context_node``'s subtree, in
+    document order, when the step may be answered from the name index:
+    the context's document carries fresh ``indexes`` and the context is
+    an ELEMENT or ROOT (attribute/namespace proxies share their owner's
+    pre-order rank, so the interval probe would return the *owner's*
+    subtree).  Returns ``None`` when the caller must navigate instead —
+    in-memory document, stale or absent indexes, non-interval context —
+    so an index-routed plan can never answer wrongly on such a target.
+
+    The posting list keys the *stored* QName, a superset of what a
+    plain-name test matches, and the interval holds every descendant,
+    not just children: callers re-check each candidate through the NAME
+    test and, for the child variant, ``candidate.parent is context``.
+    Both the iterator engine (:mod:`repro.engine.index_scans`) and the
+    generated-Python backend (:mod:`repro.codegen.emitter`) call this.
+    """
+    kind = context_node.kind
+    if kind is not NodeKind.ELEMENT and kind is not NodeKind.ROOT:
+        return None
+    document = context_node.document
+    indexes = getattr(document, "indexes", None)
+    if indexes is None:
+        return None
+    return document.nodes(
+        indexes.element_ids_in_subtree(name, context_node.sort_key[0])
+    )

@@ -19,7 +19,16 @@ from __future__ import annotations
 import io
 import os
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.dom.document import Document
 from repro.dom.node import Node, NodeKind
@@ -368,6 +377,20 @@ class StoredDocument:
             node = self._decode_node(node_id, record, parent)
             self._cache[node_id] = node
             return node
+
+    def nodes(self, node_ids: Sequence[int]) -> Iterable[StoredNode]:
+        """The proxies for ``node_ids``, in order (batched :meth:`node`).
+
+        When every id is already decoded the answer is one C-level pass
+        over the proxy cache; otherwise proxies are decoded lazily as
+        the caller iterates, so a consumer that checks a deadline per
+        candidate is never stuck behind the decode of a whole posting
+        list.
+        """
+        cached = list(map(self._cache.get, node_ids))
+        if all(cached):  # a miss is None; proxies are always truthy
+            return cached
+        return map(self.node, node_ids)
 
     def clear_node_cache(self) -> None:
         """Drop decoded proxies (page buffer stays managed by capacity)."""

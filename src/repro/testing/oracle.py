@@ -16,10 +16,12 @@ Every query is executed through ten independent paths:
     :class:`~repro.storage.DocumentStore` with index routing pinned
     off,
 ``indexed``
-    the same stored document through an engine with ``index="force"``:
-    every eligible name step is rewritten onto the structural indexes
-    (:mod:`repro.index`) regardless of selectivity, so the posting-list
-    route is differentially checked against plain navigation,
+    the same stored document through an engine with ``index="force"``
+    (interpreted): every eligible name step is rewritten onto the
+    structural indexes (:mod:`repro.index`) regardless of selectivity,
+    so the posting-list route is differentially checked against plain
+    navigation — this is the reference leg for the iterator engine's
+    adaptive index scans (:mod:`repro.engine.index_scans`),
 ``concurrent``
     the improved translation through
     :meth:`XPathEngine.evaluate_concurrent` (thread pool, shared plans,
@@ -31,12 +33,15 @@ Every query is executed through ten independent paths:
     falls back to the interpreter — so the code generator is
     differentially checked against all interpreted routes,
 ``cost``
-    the stored document through an engine with ``index="auto"`` and
-    ``optimizer="cost"``: the synopsis-fed cost model of
-    :mod:`repro.compiler.cost` decides index routing and memo
-    placement instead of the hard-coded selectivity gates — the cost
-    optimizer may pick different physical plans (page and ``next()``
-    counts change) but must never change answers,
+    the stored document through an engine with ``index="auto"``,
+    ``optimizer="cost"`` and ``codegen="auto"`` — the composed fast
+    path a serving deployment would configure: the synopsis-fed cost
+    model of :mod:`repro.compiler.cost` decides index routing and memo
+    placement instead of the hard-coded selectivity gates, and the
+    chosen plan, index scans included, runs as generated Python — the
+    cost optimizer may pick different physical plans (page and
+    ``next()`` counts change) and the backend differs from every other
+    stored leg, but neither may ever change answers,
 ``collection``
     the document split into per-subtree shards
     (:func:`repro.collection.split_document`), written as a sharded
@@ -314,7 +319,8 @@ class DifferentialRunner:
             TranslationOptions.improved(), codegen="auto"
         )
         self._cost_engine = XPathEngine(
-            TranslationOptions.improved(), index="auto", optimizer="cost"
+            TranslationOptions.improved(), index="auto", optimizer="cost",
+            codegen="auto",
         )
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._stored = None
