@@ -57,7 +57,7 @@ from repro.errors import (
     QueryTimeoutError,
 )
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 #: The curated public surface: ``from repro import *`` and the docs
 #: cover exactly these names; everything else is internal.

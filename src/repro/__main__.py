@@ -38,6 +38,7 @@ from repro import (
 )
 from repro.dom.node import Node, NodeKind
 from repro.dom.serializer import serialize
+from repro.engine.options import CODEGEN_MODES, OPTIMIZER_MODES
 from repro.errors import ReproError
 from repro.xpath.datamodel import number_to_string
 
@@ -102,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="enable the property-driven plan optimizer",
     )
     parser.add_argument(
-        "--optimizer", choices=("heuristic", "cost"), default="heuristic",
+        "--optimizer", choices=OPTIMIZER_MODES, default="heuristic",
         help="plan-choice mode: the paper's selectivity gates "
              "('heuristic') or the synopsis-fed cost model ('cost'); "
              "answers are identical (session engines only)",
@@ -136,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "produced N tuples (algebraic engines only)",
     )
     parser.add_argument(
-        "--codegen", choices=("auto", "off", "force"), default="off",
+        "--codegen", choices=CODEGEN_MODES, default="off",
         help="compile plans to generated Python: 'auto' falls back to "
              "the interpreter on unsupported operators, 'force' fails "
              "instead (session engines only; default: off)",

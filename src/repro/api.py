@@ -40,8 +40,6 @@ and ``"memo"`` (the baseline interpreters).  Engines live in
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace as _dc_replace
 from typing import (
     Callable,
     Dict,
@@ -61,6 +59,7 @@ from repro.dom.document import Document
 from repro.dom.node import Node
 from repro.dom.parser import parse as _parse_xml
 from repro.engine.governor import CancelToken, ResourceGovernor
+from repro.engine.options import EvalOptions
 from repro.engine.session import (
     EngineStats,
     XPathEngine,
@@ -68,127 +67,6 @@ from repro.engine.session import (
 )
 from repro.xpath.context import make_context
 from repro.xpath.datamodel import XPathValue
-
-#: Values accepted by :attr:`EvalOptions.index` / :attr:`EvalOptions.codegen`.
-_MODE_VALUES = ("auto", "off", "force")
-
-#: Values accepted by :attr:`EvalOptions.optimizer`.
-_OPTIMIZER_VALUES = ("heuristic", "cost")
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Per-call evaluation options, as one frozen value object.
-
-    Consolidates the per-call knobs that used to be individual keyword
-    arguments — accepted uniformly by :func:`evaluate` /
-    :func:`evaluate_concurrent`, every :class:`XPathEngine` evaluation
-    method, the CLI, and
-    :class:`~repro.testing.oracle.DifferentialRunner` (as its
-    ``governance``).  Being frozen and order-normalized it is usable
-    directly as a cache or coalescing key: two instances built from the
-    same settings (namespace mappings in any iteration order) are equal
-    and hash alike.
-
-    ``None`` for any field means "use the callee's default": an engine
-    evaluates with its configured ``index``/``codegen``/``optimizer``
-    mode unless the call overrides it.  ``optimizer`` selects plan
-    choice only (``"heuristic"`` gates or the ``"cost"`` model, see
-    ``docs/optimizer.md``) — answers are identical either way.  ``engine`` names a :data:`ENGINE_REGISTRY`
-    strategy and is consumed by one-shot :func:`evaluate` (an
-    :class:`XPathEngine` *is* the strategy, so its methods ignore the
-    field).  ``variables`` may hold unhashable node-sets, so it is
-    excluded from the hash (never from equality).
-    """
-
-    variables: Optional[Mapping[str, XPathValue]] = field(
-        default=None, hash=False
-    )
-    namespaces: Optional[Mapping[str, str]] = None
-    engine: Optional[str] = None
-    timeout: Optional[float] = None
-    max_tuples: Optional[int] = None
-    max_bytes: Optional[int] = None
-    cancel: Optional[CancelToken] = field(default=None, hash=False)
-    index: Optional[str] = None
-    codegen: Optional[str] = None
-    optimizer: Optional[str] = None
-
-    def __post_init__(self):
-        namespaces = self.namespaces
-        if namespaces is not None and not isinstance(namespaces, tuple):
-            object.__setattr__(
-                self, "namespaces", tuple(sorted(namespaces.items()))
-            )
-        for name in ("index", "codegen"):
-            value = getattr(self, name)
-            if value is not None and value not in _MODE_VALUES:
-                raise ValueError(
-                    f"{name} must be one of {_MODE_VALUES} or None, "
-                    f"got {value!r}"
-                )
-        if (self.optimizer is not None
-                and self.optimizer not in _OPTIMIZER_VALUES):
-            raise ValueError(
-                f"optimizer must be one of {_OPTIMIZER_VALUES} or None, "
-                f"got {self.optimizer!r}"
-            )
-
-    def namespace_map(self) -> Optional[Dict[str, str]]:
-        """The namespace bindings as a plain dict (or ``None``)."""
-        if self.namespaces is None:
-            return None
-        return dict(self.namespaces)
-
-    def governed(self) -> bool:
-        """Whether any resource limit or cancel token is set."""
-        return (
-            self.timeout is not None
-            or self.max_tuples is not None
-            or self.max_bytes is not None
-            or self.cancel is not None
-        )
-
-    def replace(self, **changes) -> "EvalOptions":
-        """A copy with the given fields replaced."""
-        return _dc_replace(self, **changes)
-
-
-def _resolve_eval_options(
-    func_name: str,
-    eval_options: Optional[EvalOptions],
-    legacy: Dict[str, object],
-    *,
-    stacklevel: int = 3,
-) -> EvalOptions:
-    """Fold legacy per-call keyword arguments into an :class:`EvalOptions`.
-
-    The one adapter behind every evaluation entry point: passing any of
-    the old individual knobs still works but emits a single consolidated
-    :class:`DeprecationWarning` naming all of them; mixing them with an
-    explicit ``eval_options`` is a :class:`TypeError` (there would be two
-    sources of truth).
-    """
-    provided = {
-        name: value for name, value in legacy.items() if value is not None
-    }
-    if not provided:
-        return eval_options if eval_options is not None else EvalOptions()
-    if eval_options is not None:
-        raise TypeError(
-            f"{func_name}() got both eval_options and legacy keyword "
-            f"argument(s) {sorted(provided)}; pass everything in "
-            "EvalOptions"
-        )
-    warnings.warn(
-        f"passing {', '.join(sorted(provided))} to {func_name}() as "
-        "individual keyword arguments is deprecated; pass "
-        "eval_options=EvalOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return EvalOptions(**provided)
-
 
 #: A registered engine runner: evaluates one query against a context
 #: node.  Signature: ``run(query, node, variables, namespaces, options)``.
@@ -310,44 +188,29 @@ def store_document(document: Document, path, **kwargs) -> None:
     DocumentStore.write(document, path, **kwargs)
 
 
-def build_indexes(path, *args, buffer_pages: Optional[int] = None) -> None:
+def build_indexes(path, *, buffer_pages: Optional[int] = None) -> None:
     """Build (or rebuild) the structural indexes of a stored document.
 
     Use this to retrofit indexes onto a store written with
     ``indexes=False`` (or by an older version); the data pages are not
     rewritten.  Re-open the store afterwards to pick the indexes up.
-    ``buffer_pages`` is keyword-only (the positional form is
-    deprecated).
     """
     from repro.storage import DocumentStore
 
-    if args:
-        absorbed = _absorb_legacy_positionals(
-            "build_indexes", args, ("buffer_pages",),
-            {"buffer_pages": buffer_pages},
-        )
-        buffer_pages = absorbed["buffer_pages"]
     DocumentStore.build_indexes(
         path, buffer_pages=256 if buffer_pages is None else buffer_pages
     )
 
 
-def open_store(path, *args, buffer_pages: Optional[int] = None):
+def open_store(path, *, buffer_pages: Optional[int] = None):
     """Open a stored document; queries run directly on the page buffer.
 
     The returned :class:`~repro.storage.store.StoredDocument` is a valid
     :func:`evaluate` target, interchangeable with an in-memory
-    :class:`Document`.  ``buffer_pages`` is keyword-only (the positional
-    form is deprecated).
+    :class:`Document`.  ``buffer_pages=None`` is the default of 256.
     """
     from repro.storage import DocumentStore
 
-    if args:
-        absorbed = _absorb_legacy_positionals(
-            "open_store", args, ("buffer_pages",),
-            {"buffer_pages": buffer_pages},
-        )
-        buffer_pages = absorbed["buffer_pages"]
     return DocumentStore.open(
         path, buffer_pages=256 if buffer_pages is None else buffer_pages
     )
@@ -408,59 +271,17 @@ def open_collection(directory, *, workers: Optional[int] = None,
 # ----------------------------------------------------------------------
 
 
-def _absorb_legacy_positionals(func_name, args, names, values, *,
-                               error=False):
-    """Map deprecated positional arguments onto keyword slots.
-
-    With ``error=True`` the deprecation (warned about since v1.1) is
-    escalated: the positional form raises :class:`TypeError` outright.
-    ``error=False`` keeps the warning behavior for the newly
-    keyword-only parameters (``open_store``/``build_indexes``).
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{func_name}() takes at most {len(names)} deprecated "
-            f"positional arguments ({len(args)} given)"
-        )
-    if error:
-        raise TypeError(
-            f"passing {'/'.join(names[:len(args)])} positionally to "
-            f"{func_name}() is no longer supported; use keyword "
-            "arguments"
-        )
-    warnings.warn(
-        f"passing {'/'.join(names[:len(args)])} positionally to "
-        f"{func_name}() is deprecated; use keyword arguments",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for name, value in zip(names, args):
-        if values[name] is not None:
-            raise TypeError(
-                f"{func_name}() got {name!r} both positionally and as a "
-                "keyword"
-            )
-        values[name] = value
-    return values
-
-
 def compile_xpath(
     query: str,
-    *args,
+    *,
     options: Optional[TranslationOptions] = None,
     namespaces: Optional[Mapping[str, str]] = None,
 ) -> CompiledQuery:
     """Compile an XPath 1.0 expression with the algebraic compiler.
 
     ``namespaces`` become the compiled query's default prefix bindings
-    (still overridable per ``evaluate`` call).  The legacy positional
-    ``options`` form was removed; ``options`` is keyword-only.
+    (still overridable per ``evaluate`` call).
     """
-    if args:
-        _absorb_legacy_positionals(
-            "compile_xpath", args, ("options",), {"options": options},
-            error=True,
-        )
     compiled = XPathCompiler(options).compile(query)
     if namespaces:
         compiled.default_namespaces = dict(namespaces)
@@ -471,15 +292,8 @@ def evaluate(
     query: str,
     target: Union[Document, Node],
     eval_options: Optional[EvalOptions] = None,
-    *args,
+    *,
     options: Optional[TranslationOptions] = None,
-    variables: Optional[Mapping[str, XPathValue]] = None,
-    namespaces: Optional[Mapping[str, str]] = None,
-    engine: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_tuples: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-    cancel: Optional[CancelToken] = None,
 ) -> XPathValue:
     """One-shot evaluation of ``query`` against a document or node.
 
@@ -488,11 +302,7 @@ def evaluate(
     :data:`ENGINE_REGISTRY` name), the governance limits and the
     ``index``/``codegen`` backend modes.  ``options``
     (:class:`TranslationOptions`) stays a separate keyword — it
-    parameterizes the algebraic *compiler*, not one evaluation.  The
-    old individual keyword arguments keep working with a
-    :class:`DeprecationWarning`; the ancient positional
-    ``(variables, namespaces, engine)`` form now raises
-    :class:`TypeError`.
+    parameterizes the algebraic *compiler*, not one evaluation.
 
     Governance limits (``timeout`` seconds, ``max_tuples``,
     ``max_bytes``, ``cancel``) abort with a typed governance error
@@ -502,39 +312,12 @@ def evaluate(
     ``"natix-canonical"`` (the baseline interpreters have no
     cooperative checkpoints and no plans to route or compile).
     """
-    if args or (
-        eval_options is not None
-        and not isinstance(eval_options, EvalOptions)
-    ):
-        legacy_args = args
-        if eval_options is not None and not isinstance(
-            eval_options, EvalOptions
-        ):
-            legacy_args = (eval_options,) + args
-        _absorb_legacy_positionals(
-            "evaluate",
-            legacy_args,
-            ("variables", "namespaces", "engine"),
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "engine": engine,
-            },
-            error=True,
+    resolved = eval_options if eval_options is not None else EvalOptions()
+    if not isinstance(resolved, EvalOptions):
+        raise TypeError(
+            "evaluate() takes its per-call configuration as an "
+            f"EvalOptions, got {type(resolved).__name__!r}"
         )
-    resolved = _resolve_eval_options(
-        "evaluate",
-        eval_options,
-        {
-            "variables": variables,
-            "namespaces": namespaces,
-            "engine": engine,
-            "timeout": timeout,
-            "max_tuples": max_tuples,
-            "max_bytes": max_bytes,
-            "cancel": cancel,
-        },
-    )
     node = resolve_context_node(target)
     name = resolved.engine or "natix"
     needs_algebraic = (
@@ -565,19 +348,11 @@ def evaluate(
             )
             return session.evaluate(query, target, resolved)
         compiled = XPathCompiler(options).compile(query)
-        governor = None
-        if resolved.governed():
-            governor = ResourceGovernor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            )
         return compiled.evaluate(
             node,
             resolved.variables,
             resolved.namespace_map(),
-            governor=governor,
+            governor=resolved.governor(),
             codegen=resolved.codegen or "off",
         )
     runner = get_engine_factory(name)()
@@ -594,12 +369,6 @@ def evaluate_concurrent(
     max_workers: Optional[int] = None,
     options: Optional[TranslationOptions] = None,
     return_exceptions: bool = False,
-    variables: Optional[Mapping[str, XPathValue]] = None,
-    namespaces: Optional[Mapping[str, str]] = None,
-    timeout: Optional[float] = None,
-    max_tuples: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-    cancel: Optional[CancelToken] = None,
 ) -> List[XPathValue]:
     """One-shot concurrent evaluation of a query batch.
 
@@ -607,23 +376,10 @@ def evaluate_concurrent(
     :class:`XPathEngine` and fans the batch out over its thread pool
     (see :meth:`XPathEngine.evaluate_concurrent`).  Serving workloads
     should hold on to an engine instead, so the plan cache survives
-    between batches.  Per-call configuration travels in
-    :class:`EvalOptions` (the old individual keyword arguments warn);
-    governance limits apply per query, with the deadline anchored at
-    submission (queue wait counts).
+    between batches.  Governance limits apply per query, with the
+    deadline anchored at submission (queue wait counts).
     """
-    resolved = _resolve_eval_options(
-        "evaluate_concurrent",
-        eval_options,
-        {
-            "variables": variables,
-            "namespaces": namespaces,
-            "timeout": timeout,
-            "max_tuples": max_tuples,
-            "max_bytes": max_bytes,
-            "cancel": cancel,
-        },
-    )
+    resolved = eval_options if eval_options is not None else EvalOptions()
     engine = XPathEngine(
         options,
         index=resolved.index or "auto",
@@ -637,11 +393,6 @@ def evaluate_concurrent(
         max_workers=max_workers,
         return_exceptions=return_exceptions,
     )
-
-
-def _context_node(target: Union[Document, Node]) -> Node:
-    """Deprecated alias of :func:`resolve_context_node`."""
-    return resolve_context_node(target)
 
 
 __all__ = [

@@ -12,9 +12,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import evaluate
 from repro.bench.engines import make_engine
 from repro.bench.experiments import Ablation, Fig10Table, FigureSweep
 from repro.dom.document import Document
+from repro.engine.session import XPathEngine
 from repro.workloads.dblp import generate_dblp
 from repro.workloads.docgen import generate_document
 
@@ -164,9 +166,6 @@ def run_cache_amortization(
     returns both wall times plus the session's cache columns — the
     compile-amortization row of BENCH_*.json.
     """
-    from repro.api import evaluate
-    from repro.engine.session import XPathEngine
-
     document = cached_document(size)
     node = document.root
 

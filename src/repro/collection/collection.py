@@ -62,6 +62,7 @@ from repro.collection.pool import (
 )
 from repro.collection.pruning import shard_admits
 from repro.compiler.improved import TranslationOptions
+from repro.engine.options import INDEX_MODES, OPTIMIZER_MODES
 from repro.errors import (
     CollectionError,
     QueryBudgetError,
@@ -239,14 +240,14 @@ class Collection:
         buffer_pages: int = DEFAULT_WORKER_BUFFER_PAGES,
         pruning: bool = True,
     ):
-        if index_mode not in ("off", "auto", "force"):
+        if index_mode not in INDEX_MODES:
             raise ValueError(
-                f"index_mode must be 'off', 'auto' or 'force', "
+                f"index_mode must be one of {INDEX_MODES}, "
                 f"got {index_mode!r}"
             )
-        if optimizer not in ("heuristic", "cost"):
+        if optimizer not in OPTIMIZER_MODES:
             raise ValueError(
-                f"optimizer must be 'heuristic' or 'cost', "
+                f"optimizer must be one of {OPTIMIZER_MODES}, "
                 f"got {optimizer!r}"
             )
         self.catalog: CollectionCatalog = load_catalog(directory)

@@ -35,6 +35,7 @@ from repro.compiler.translate import (
 from repro.dom.node import Node
 from repro.engine.context import ExecutionContext
 from repro.engine.iterator import RuntimeState
+from repro.engine.options import CODEGEN_MODES
 from repro.engine.plan import OperatorStats, PhysicalPlan
 from repro.engine.tuples import AttributeManager
 from repro.errors import CodegenError
@@ -244,28 +245,14 @@ class CompiledQuery:
         when the plan compiles (interpreting otherwise), ``"force"``
         raises :class:`~repro.errors.CodegenError` if it does not.
         """
-        context = ExecutionContext(
-            context_node=context_node,
-            variables=dict(variables or {}),
-            namespaces=dict(namespaces or self.default_namespaces or {}),
-            position=position,
-            size=size,
-            governor=governor,
+        context = self._context(
+            context_node, variables, namespaces, governor, position, size
         )
-        generated = self._select_generated(codegen)
-        if generated is not None:
-            result = generated.execute(context)
-            if ordered and isinstance(result, list):
-                if self.emits_document_order:
-                    generated.stats["order_sort_avoided"] += 1
-                else:
-                    result.sort(key=lambda node: node.sort_key)
-            return result
-        physical = self.thread_physical
-        result = physical.execute(context)
+        runner = self._select_generated(codegen) or self.thread_physical
+        result = runner.execute(context)
         if ordered and isinstance(result, list):
             if self.emits_document_order:
-                physical.stats["order_sort_avoided"] += 1
+                runner.stats["order_sort_avoided"] += 1
             else:
                 result.sort(key=lambda node: node.sort_key)
         return result
@@ -297,11 +284,8 @@ class CompiledQuery:
         instance — and closed before the same thread starts another
         evaluation of this query.
         """
-        context = ExecutionContext(
-            context_node=context_node,
-            variables=dict(variables or {}),
-            namespaces=dict(namespaces or self.default_namespaces or {}),
-            governor=governor,
+        context = self._context(
+            context_node, variables, namespaces, governor
         )
         physical = self.thread_physical
         if (
@@ -318,14 +302,28 @@ class CompiledQuery:
             physical.stats["order_sort_avoided"] += 1
         return physical.execute_stream(context)
 
+    def _context(
+        self, context_node, variables, namespaces, governor,
+        position: int = 1, size: int = 1,
+    ) -> ExecutionContext:
+        """A fresh execution context (private copies of the bindings;
+        the compiled default namespaces apply when the call has none)."""
+        return ExecutionContext(
+            context_node=context_node,
+            variables=dict(variables or {}),
+            namespaces=dict(namespaces or self.default_namespaces or {}),
+            position=position,
+            size=size,
+            governor=governor,
+        )
+
     def _select_generated(self, codegen: str):
         """Resolve a ``codegen`` mode to a generated plan (or None)."""
         if codegen == "off":
             return None
-        if codegen not in ("auto", "force"):
+        if codegen not in CODEGEN_MODES:
             raise ValueError(
-                f"codegen must be 'auto', 'off' or 'force', "
-                f"got {codegen!r}"
+                f"codegen must be one of {CODEGEN_MODES}, got {codegen!r}"
             )
         generated = self.ensure_generated()
         if generated is None and codegen == "force":
@@ -356,20 +354,20 @@ class CompiledQuery:
             ]
         return merged
 
-    def count(self, context_node: Node, **kwargs) -> int:
+    def count(
+        self,
+        context_node: Node,
+        variables: Optional[Mapping[str, XPathValue]] = None,
+        namespaces: Optional[Mapping[str, str]] = None,
+        governor=None,
+        codegen: str = "off",
+    ) -> int:
         """Count result tuples without collecting them."""
-        context = ExecutionContext(
-            context_node=context_node,
-            variables=dict(kwargs.get("variables") or {}),
-            namespaces=dict(
-                kwargs.get("namespaces") or self.default_namespaces or {}
-            ),
-            governor=kwargs.get("governor"),
+        context = self._context(
+            context_node, variables, namespaces, governor
         )
-        generated = self._select_generated(kwargs.get("codegen", "off"))
-        if generated is not None:
-            return generated.execute_count(context)
-        return self.thread_physical.execute_count(context)
+        runner = self._select_generated(codegen) or self.thread_physical
+        return runner.execute_count(context)
 
     def reset_stats(self) -> None:
         """Zero runtime counters on every thread's plan instance."""

@@ -41,6 +41,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import (
     Dict,
     Hashable,
@@ -64,7 +65,12 @@ from repro.engine.cache import (
     StripedPlanCache,
 )
 from repro.engine.context import ExecutionContext
-from repro.engine.governor import CancelToken, ResourceGovernor
+from repro.engine.options import (
+    CODEGEN_MODES,
+    INDEX_MODES,
+    OPTIMIZER_MODES,
+    EvalOptions,
+)
 from repro.engine.plan import OperatorStats
 from repro.errors import (
     QueryBudgetError,
@@ -114,17 +120,23 @@ EvalTarget = Union[Document, Node, object]
 _NamespaceSig = Tuple[Tuple[str, str], ...]
 _PlanKey = Tuple[str, TranslationOptions, _NamespaceSig, Optional[str]]
 
-#: Valid values of the engine's ``index`` option.
-INDEX_MODES = ("auto", "off", "force")
+#: The request of a call that passed no :class:`EvalOptions`.
+_NO_OPTIONS = EvalOptions()
 
-#: Valid values of the engine's ``codegen`` option.
-CODEGEN_MODES = ("auto", "off", "force")
+#: The governance counter a scope that ends in one of these settles
+#: into; any other ending — an ordinary evaluation error included —
+#: *completed* its resource-governed run.
+_ABORT_COUNTERS = (
+    (QueryTimeoutError, "queries_timed_out"),
+    (QueryCancelledError, "queries_cancelled"),
+    (QueryBudgetError, "budget_aborts"),
+)
 
-#: Valid values of the engine's ``optimizer`` option.
-OPTIMIZER_MODES = ("heuristic", "cost")
-
-#: Backwards-compatible name: the plan cache is the striped one now.
-PlanCache = StripedPlanCache
+#: The singleflight leader's admission yield.  Both forms release the
+#: GIL for one scheduling slot; ``sched_yield`` does it in well under a
+#: microsecond where ``time.sleep(0)`` takes ~65 us on Linux — per
+#: *uncontended* call, so the portable form is only the fallback.
+_yield_thread = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
 
 
 def resolve_context_node(target: EvalTarget) -> Node:
@@ -282,7 +294,7 @@ class Singleflight:
         # but gated on the GIL — give them one scheduling slot to
         # register as followers before we start computing, otherwise a
         # short query can finish before they ever got the lock.
-        time.sleep(0)
+        _yield_thread()
         try:
             call.result = supplier()
         except BaseException as error:
@@ -293,6 +305,117 @@ class Singleflight:
                 self._calls.pop(key, None)
             call.event.set()
         return call.result, True
+
+
+# ----------------------------------------------------------------------
+# Outcome accounting
+# ----------------------------------------------------------------------
+
+
+class _Scope:
+    """The accounting of one governed run, as a ``with`` block.
+
+    Entering counts ``queries_submitted`` (and the run's ``tags``);
+    leaving counts exactly one of ``queries_completed`` /
+    ``queries_timed_out`` / ``queries_cancelled`` / ``budget_aborts`` —
+    so the four always sum back to ``queries_submitted`` — and records
+    the execution: count, wall time, last plan, and the buffer or
+    collection snapshot.  "Completed" means the run ended without a
+    governance abort: a query raising an ordinary evaluation error, or
+    a stream closed half-way, still completed its resource-governed
+    run.  The engine lock is taken twice per run, once on each side;
+    counters :meth:`note`\\ d in between ride on the second.
+    """
+
+    __slots__ = (
+        "engine", "plan", "node", "collection", "tags", "executions",
+        "notes", "start",
+    )
+
+    def __init__(self, engine: "XPathEngine", plan=None, node=None,
+                 collection=None, tags: Tuple[str, ...] = ()):
+        self.engine = engine
+        self.plan = plan
+        self.node = node
+        self.collection = collection
+        #: Counters that grow with ``queries_submitted``.
+        self.tags = tags
+        #: Plan executions this run stands for (a batch is one run).
+        self.executions = 1
+        self.notes: Optional[Dict[str, int]] = None
+
+    def note(self, counter: str, amount: int = 1) -> None:
+        """Add to an engine counter when the scope is left."""
+        if self.notes is None:
+            self.notes = {}
+        self.notes[counter] = self.notes.get(counter, 0) + amount
+
+    def note_codegen(self, plan: CompiledQuery, codegen: str) -> None:
+        """Account one execution's backend choice (after the call, when
+        the plan's lazily-computed codegen state is settled)."""
+        if codegen == "off":
+            return
+        if plan.codegen_state == "compiled":
+            self.note("codegen_compiled")
+        elif plan.codegen_state == "unsupported":
+            self.note("codegen_fallbacks")
+
+    def note_estimation(self, plan: CompiledQuery, result) -> None:
+        """Track the cost optimizer's estimation error against reality.
+
+        Only node-set results of cost-optimized plans are scored (the
+        estimator predicts result *rows*); ``cost_estimate_abs_error``
+        over ``cost_estimates_recorded`` is the mean absolute error.
+        """
+        report = plan.optimizer_report
+        if (report is None or getattr(report, "mode", "heuristic") != "cost"
+                or report.est_root_rows is None
+                or not isinstance(result, list)):
+            return
+        estimated = int(round(report.est_root_rows))
+        self.note("cost_estimates_recorded")
+        self.note("cost_estimated_rows", estimated)
+        self.note("cost_actual_rows", len(result))
+        self.note("cost_estimate_abs_error", abs(estimated - len(result)))
+
+    def __enter__(self) -> "_Scope":
+        engine = self.engine
+        with engine._lock:
+            counters = engine._engine_counters
+            counters["queries_submitted"] += 1
+            for tag in self.tags:
+                counters[tag] += 1
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        elapsed = time.perf_counter() - self.start
+        outcome = "queries_completed"
+        if exc_type is not None:
+            for error_type, counter in _ABORT_COUNTERS:
+                if issubclass(exc_type, error_type):
+                    outcome = counter
+                    break
+        # The snapshots take other objects' locks: read them first.
+        buffer = _buffer_snapshot(self.node)
+        collection = self.collection
+        collection_stats = (
+            collection.stats() if collection is not None else None
+        )
+        engine = self.engine
+        with engine._lock:
+            counters = engine._engine_counters
+            counters[outcome] += 1
+            if self.notes is not None:
+                counters.update(self.notes)
+            engine._execution_count += self.executions
+            engine._execution_seconds += elapsed
+            if self.plan is not None:
+                engine._last_plan = self.plan
+            if self.node is not None:
+                engine._last_buffer = buffer
+            if collection is not None:
+                engine._last_collection_stats = collection_stats
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +451,7 @@ class XPathEngine:
         *,
         coalesce: bool = True,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        index: Union[str, bool] = "auto",
+        index: str = "auto",
         codegen: str = "off",
         optimizer: str = "heuristic",
         default_timeout: Optional[float] = None,
@@ -336,14 +459,9 @@ class XPathEngine:
         default_max_bytes: Optional[int] = None,
     ):
         self.options = options or TranslationOptions()
-        if index is True:
-            index = "auto"
-        elif index is False:
-            index = "off"
         if index not in INDEX_MODES:
             raise ValueError(
-                f"index must be one of {INDEX_MODES} (or a bool), "
-                f"got {index!r}"
+                f"index must be one of {INDEX_MODES}, got {index!r}"
             )
         if codegen not in CODEGEN_MODES:
             raise ValueError(
@@ -493,90 +611,66 @@ class XPathEngine:
 
     # -- evaluation ----------------------------------------------------
 
-    def make_governor(
-        self,
-        *,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> Optional[ResourceGovernor]:
-        """A governor combining per-call limits with engine defaults.
-
-        ``None`` when neither the call nor the engine imposes any limit
-        (the ungoverned fast path).  The deadline is anchored *now*, so
-        governors built at submission time also bound queue wait.
-        """
-        timeout = timeout if timeout is not None else self.default_timeout
-        max_tuples = (
-            max_tuples if max_tuples is not None else self.default_max_tuples
-        )
-        max_bytes = (
-            max_bytes if max_bytes is not None else self.default_max_bytes
-        )
-        if (timeout is None and max_tuples is None and max_bytes is None
-                and cancel is None):
-            return None
-        return ResourceGovernor(
-            timeout=timeout, max_tuples=max_tuples, max_bytes=max_bytes,
-            cancel=cancel,
-        )
-
-    def _resolve_call(self, func_name: str, eval_options, legacy):
-        """Fold an :class:`~repro.api.EvalOptions` (or legacy kwargs)
-        into ``(resolved, codegen_mode)`` for one evaluation call.
+    def _request(self, eval_options: Optional[EvalOptions]) -> EvalOptions:
+        """The request one call makes of this engine: its
+        :class:`EvalOptions`, checked against and completed from the
+        engine's configuration — the only place the two meet.
 
         The ``engine`` field is ignored (this engine *is* the
-        strategy); a per-call ``index`` must agree with the engine's
-        configured mode — plans are cached per engine, so one call
-        cannot re-route them.
+        strategy); a per-call ``index``/``optimizer`` must agree with
+        the engine's configured mode — plans are cached per engine, so
+        one call cannot re-route them.  Limits the call leaves unset
+        fall back to the engine's ``default_*`` settings; a call with
+        nothing to fold gets its own object back.
         """
-        from repro.api import _resolve_eval_options
-
-        resolved = _resolve_eval_options(
-            func_name, eval_options, legacy, stacklevel=4
-        )
-        if (resolved.index is not None
-                and resolved.index != self.index_mode):
+        request = eval_options if eval_options is not None else _NO_OPTIONS
+        if request.index is not None and request.index != self.index_mode:
             raise ValueError(
-                f"per-call index={resolved.index!r} conflicts with this "
+                f"per-call index={request.index!r} conflicts with this "
                 f"engine's index mode {self.index_mode!r}; configure "
                 "XPathEngine(index=...) instead"
             )
-        if (resolved.optimizer is not None
-                and resolved.optimizer != self.optimizer_mode):
+        if (request.optimizer is not None
+                and request.optimizer != self.optimizer_mode):
             raise ValueError(
-                f"per-call optimizer={resolved.optimizer!r} conflicts "
+                f"per-call optimizer={request.optimizer!r} conflicts "
                 f"with this engine's optimizer mode "
                 f"{self.optimizer_mode!r}; configure "
                 "XPathEngine(optimizer=...) instead"
             )
-        return resolved, resolved.codegen or self.codegen_mode
+        timeout = request.timeout
+        if timeout is None:
+            timeout = self.default_timeout
+        max_tuples = request.max_tuples
+        if max_tuples is None:
+            max_tuples = self.default_max_tuples
+        max_bytes = request.max_bytes
+        if max_bytes is None:
+            max_bytes = self.default_max_bytes
+        if (timeout is request.timeout and max_tuples is request.max_tuples
+                and max_bytes is request.max_bytes):
+            return request
+        return request.replace(
+            timeout=timeout, max_tuples=max_tuples, max_bytes=max_bytes
+        )
 
     def evaluate(
         self,
         query: str,
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
         ordered: bool = False,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> XPathValue:
         """Evaluate ``query`` against ``target`` through the plan cache.
 
         Per-call configuration (variables, namespaces, governance
         limits, a ``codegen`` override) travels in one
-        :class:`~repro.api.EvalOptions`; the old individual keyword
-        arguments keep working with a :class:`DeprecationWarning`.
-        ``options`` (:class:`TranslationOptions`) and ``ordered`` stay
-        separate keywords — compiler parameterization and result shape,
-        not per-call evaluation state.
+        :class:`~repro.api.EvalOptions`.  ``options``
+        (:class:`TranslationOptions`) and ``ordered`` stay separate
+        keywords — compiler parameterization and result shape, not
+        per-call evaluation state.
 
         ``timeout`` (seconds), ``max_tuples``, ``max_bytes`` and
         ``cancel`` bound the evaluation; unset limits fall back to the
@@ -596,55 +690,26 @@ class XPathEngine:
         share the leader's deadline, including a governance error if it
         trips.
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
+        request = self._request(eval_options)
+        codegen = request.codegen or self.codegen_mode
+        namespaces = request.namespace_map()
         plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
+            query, options=options, namespaces=namespaces, target=target,
         )
         node = resolve_context_node(target)
-        key = self._coalesce_key(
-            query, node, eval_variables, eval_namespaces, options, ordered,
-            resolved.timeout, resolved.max_tuples, resolved.max_bytes,
-            resolved.cancel, codegen,
-        )
-        if key is None:
+
+        def run() -> XPathValue:
             return self._execute(
-                plan, node, eval_variables, eval_namespaces, ordered,
-                governor=self.make_governor(
-                    timeout=resolved.timeout,
-                    max_tuples=resolved.max_tuples,
-                    max_bytes=resolved.max_bytes,
-                    cancel=resolved.cancel,
-                ),
-                codegen=codegen,
+                plan, node, request.variables, namespaces, ordered,
+                request.governor(), codegen,
             )
 
-        result, led = self._singleflight.do(
-            key,
-            lambda: self._execute(
-                plan, node, eval_variables, eval_namespaces, ordered,
-                governor=self.make_governor(
-                    timeout=resolved.timeout,
-                    max_tuples=resolved.max_tuples,
-                    max_bytes=resolved.max_bytes,
-                    cancel=resolved.cancel,
-                ),
-                codegen=codegen,
-            ),
+        key = self._coalesce_key(
+            request, options, query, id(node), ordered, codegen
         )
+        if key is None:
+            return run()
+        result, led = self._singleflight.do(key, run)
         if not led:
             with self._lock:
                 self._engine_counters["coalesced_requests"] += 1
@@ -656,7 +721,7 @@ class XPathEngine:
         self,
         query: str,
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         options: Optional[TranslationOptions] = None,
@@ -679,6 +744,10 @@ class XPathEngine:
           the stream is *created*, so the deadline covers the whole
           consumption, and a tripped limit raises the typed governance
           error out of the page iterator mid-stream,
+        * streams always *interpret* the iterator tree — the generated
+          Python backend materializes internally and has nothing to
+          stream — so an effective ``codegen`` of ``"auto"`` or
+          ``"force"`` is not an error here, it just does not apply,
         * streams are **not** coalesced: each consumer paces its own
           pull, so two identical streams cannot share one execution the
           way two :meth:`evaluate` calls do,
@@ -686,186 +755,121 @@ class XPathEngine:
           calling thread's plan instance) and must be closed before the
           same thread evaluates the same query again.
 
-        Governance outcome accounting matches :meth:`evaluate`: one
-        ``queries_submitted`` per stream, resolved into exactly one of
-        completed / timed-out / cancelled / budget-abort when the
-        stream finishes (an abandoned, half-consumed stream counts as
-        completed on close).
+        Governance outcome accounting: the stream is *submitted* at its
+        first ``next()`` and settles into exactly one of completed /
+        timed-out / cancelled / budget-abort when it finishes (an
+        abandoned, half-consumed stream counts as completed on close; a
+        stream that is never pulled counts nothing).
         """
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_stream", eval_options, {}
-        )
-        eval_namespaces = resolved.namespace_map()
+        request = self._request(eval_options)
+        namespaces = request.namespace_map()
         plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
+            query, options=options, namespaces=namespaces, target=target,
         )
-        node = resolve_context_node(target)
-        governor = self.make_governor(
-            timeout=resolved.timeout,
-            max_tuples=resolved.max_tuples,
-            max_bytes=resolved.max_bytes,
-            cancel=resolved.cancel,
-        )
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-            self._engine_counters["stream_queries"] += 1
         return self._stream_pages(
-            plan, node, resolved, eval_namespaces, page_size, ordered,
-            governor,
+            plan, resolve_context_node(target), request.variables,
+            namespaces, page_size, ordered, request.governor(),
         )
 
     def _stream_pages(
-        self, plan, node, resolved, namespaces, page_size, ordered,
+        self, plan, node, variables, namespaces, page_size, ordered,
         governor,
     ):
-        """Generator body of :meth:`evaluate_stream` (accounting here:
-        ``queries_submitted`` was already counted by the caller)."""
-        settled = False
-
-        def settle(counter: str) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            with self._lock:
-                self._engine_counters[counter] += 1
-
-        start = time.perf_counter()
-        try:
+        """Generator body of :meth:`evaluate_stream`."""
+        with _Scope(self, plan, node, tags=("stream_queries",)):
             items = plan.evaluate_stream(
-                node, resolved.variables, namespaces,
+                node, variables, namespaces,
                 ordered=ordered, governor=governor,
             )
-            page: List[XPathValue] = []
-            yielded = False
-            for item in items:
-                page.append(item)
-                if len(page) >= page_size:
-                    with self._lock:
-                        self._engine_counters["stream_pages"] += 1
-                    yield page
-                    page = []
-                    yielded = True
-            if page or not yielded:
-                # The last partial page — or, for an empty result, one
-                # empty page so every stream yields at least once.
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield page
-        except QueryTimeoutError:
-            settle("queries_timed_out")
-            raise
-        except QueryCancelledError:
-            settle("queries_cancelled")
-            raise
-        except QueryBudgetError:
-            settle("budget_aborts")
-            raise
-        finally:
-            settle("queries_completed")
-            self._record_execution(
-                time.perf_counter() - start, plan, node
-            )
+            yield from self._pages(items, page_size)
+
+    def _pages(self, items, page_size: int):
+        """Cut ``items`` — a lazy iterator or a list — into lists of at
+        most ``page_size``, pulling no item before its page is due.
+
+        The first page is yielded even when empty, so every stream
+        yields at least once (and a collection stream always delivers
+        its result kind).
+        """
+        iterator = iter(items)
+        page = list(islice(iterator, page_size))
+        while True:
+            with self._lock:
+                self._engine_counters["stream_pages"] += 1
+            yield page
+            if len(page) < page_size:
+                return
+            page = list(islice(iterator, page_size))
+            if not page:
+                return
 
     def evaluate_many(
         self,
         queries: Sequence[str],
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> List[XPathValue]:
         """Evaluate a batch of queries against one target, sequentially.
 
         Each distinct query is compiled (or fetched) once and a single
         :class:`ExecutionContext` is shared across the batch, so the
         per-call setup cost is paid once instead of ``len(queries)``
-        times.  Results are returned in input order.  Per-call
-        configuration travels in :class:`~repro.api.EvalOptions` (the
-        old individual keyword arguments warn).  The governance limits
-        bound the batch *as a whole* — one shared governor, so
+        times.  Results are returned in input order.  The governance
+        limits bound the batch *as a whole* — one shared governor, so
         ``timeout`` is a deadline for all of it and the budgets are
-        cumulative across the queries.
+        cumulative across the queries; accordingly the batch is *one*
+        governed run in the governance counters, while
+        ``execution_count`` grows by the queries that ran.
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate_many",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_namespaces = resolved.namespace_map()
+        request = self._request(eval_options)
+        codegen = request.codegen or self.codegen_mode
+        namespaces = request.namespace_map()
         node = resolve_context_node(target)
         plans = [
             self.compile(
-                query, options=options, namespaces=eval_namespaces,
+                query, options=options, namespaces=namespaces,
                 target=target,
             )
             for query in queries
         ]
         context = ExecutionContext(
             context_node=node,
-            variables=dict(resolved.variables or {}),
-            namespaces=dict(eval_namespaces or {}),
-            governor=self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            ),
+            variables=dict(request.variables or {}),
+            namespaces=dict(namespaces or {}),
+            governor=request.governor(),
         )
         results: List[XPathValue] = []
-        start = time.perf_counter()
-        for plan in plans:
-            generated = (
-                plan._select_generated(codegen)
-                if codegen != "off"
-                else None
-            )
-            if generated is not None:
-                results.append(generated.execute(context))
-            else:
-                results.append(plan.thread_physical.execute(context))
-            self._note_codegen(plan, codegen)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._execution_count += len(plans)
-            self._execution_seconds += elapsed
-            if plans:
-                self._last_plan = plans[-1]
-            self._last_buffer = _buffer_snapshot(node)
+        with _Scope(self, node=node) as scope:
+            scope.executions = 0
+            for plan in plans:
+                scope.plan = plan
+                scope.executions += 1
+                generated = (
+                    plan._select_generated(codegen)
+                    if codegen != "off"
+                    else None
+                )
+                if generated is not None:
+                    results.append(generated.execute(context))
+                else:
+                    results.append(plan.thread_physical.execute(context))
+                scope.note_codegen(plan, codegen)
         return results
 
     def evaluate_concurrent(
         self,
         queries: Sequence[str],
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         max_workers: Optional[int] = None,
         options: Optional[TranslationOptions] = None,
         ordered: bool = False,
         return_exceptions: bool = False,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> List[XPathValue]:
         """Evaluate a batch of queries through a thread pool.
 
@@ -889,27 +893,16 @@ class XPathEngine:
         and neither the plan cache nor other queries in the batch are
         affected (budgets are per query, not shared).
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate_concurrent",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
+        request = self._request(eval_options)
+        codegen = request.codegen or self.codegen_mode
+        namespaces = request.namespace_map()
         node = resolve_context_node(target)
         if not queries:
             return []
         distinct = list(dict.fromkeys(queries))
         plans = {
             query: self.compile(
-                query, options=options, namespaces=eval_namespaces,
+                query, options=options, namespaces=namespaces,
                 target=target,
             )
             for query in distinct
@@ -920,20 +913,12 @@ class XPathEngine:
 
         # Submission-time admission control: one governor per distinct
         # query, anchored *now* — queue wait counts against the deadline.
-        governors = {
-            query: self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            )
-            for query in distinct
-        }
+        governors = {query: request.governor() for query in distinct}
 
         def run_one(query: str) -> XPathValue:
             return self._execute(
-                plans[query], node, eval_variables, eval_namespaces,
-                ordered, governor=governors[query], codegen=codegen,
+                plans[query], node, request.variables, namespaces,
+                ordered, governors[query], codegen,
             )
 
         with ThreadPoolExecutor(
@@ -961,19 +946,27 @@ class XPathEngine:
             for result in (by_query[query] for query in queries)
         ]
 
+    @staticmethod
+    def _scatter(query, collection, request, options):
+        """``collection.evaluate`` under the limits of ``request``."""
+        return collection.evaluate(
+            query,
+            variables=request.variables,
+            namespaces=request.namespace_map(),
+            options=options,
+            timeout=request.timeout,
+            max_tuples=request.max_tuples,
+            max_bytes=request.max_bytes,
+            cancel=request.cancel,
+        )
+
     def evaluate_collection(
         self,
         query: str,
         collection,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ):
         """Evaluate ``query`` over every shard of a ``collection``.
 
@@ -1001,89 +994,19 @@ class XPathEngine:
         raises :class:`~repro.errors.ShardFailedError`.  Returns the
         merged :class:`repro.collection.CollectionResult`.
         """
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_collection",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
-        eval_timeout = (
-            resolved.timeout if resolved.timeout is not None
-            else self.default_timeout
-        )
-        eval_max_tuples = (
-            resolved.max_tuples if resolved.max_tuples is not None
-            else self.default_max_tuples
-        )
-        eval_max_bytes = (
-            resolved.max_bytes if resolved.max_bytes is not None
-            else self.default_max_bytes
-        )
+        request = self._request(eval_options)
 
         def run():
-            with self._lock:
-                self._engine_counters["queries_submitted"] += 1
-                self._engine_counters["collection_queries"] += 1
-            start = time.perf_counter()
-            try:
-                result = collection.evaluate(
-                    query,
-                    variables=eval_variables,
-                    namespaces=eval_namespaces,
-                    options=options,
-                    timeout=eval_timeout,
-                    max_tuples=eval_max_tuples,
-                    max_bytes=eval_max_bytes,
-                    cancel=resolved.cancel,
-                )
-            except QueryTimeoutError:
-                with self._lock:
-                    self._engine_counters["queries_timed_out"] += 1
-                raise
-            except QueryCancelledError:
-                with self._lock:
-                    self._engine_counters["queries_cancelled"] += 1
-                raise
-            except QueryBudgetError:
-                with self._lock:
-                    self._engine_counters["budget_aborts"] += 1
-                raise
-            except BaseException:
-                with self._lock:
-                    self._engine_counters["queries_completed"] += 1
-                raise
-            finally:
-                with self._lock:
-                    self._execution_count += 1
-                    self._execution_seconds += (
-                        time.perf_counter() - start
-                    )
-                    self._last_collection_stats = collection.stats()
-            with self._lock:
-                self._engine_counters["queries_completed"] += 1
-            return result
+            with _Scope(
+                self, collection=collection, tags=("collection_queries",)
+            ):
+                return self._scatter(query, collection, request, options)
 
-        if not self.coalesce or eval_variables:
-            return run()
-        key = (
-            "collection",
-            query,
-            collection.fingerprint,
-            options or self.options,
-            _namespace_signature(eval_namespaces),
-            eval_timeout,
-            eval_max_tuples,
-            eval_max_bytes,
-            id(resolved.cancel) if resolved.cancel is not None else None,
+        key = self._coalesce_key(
+            request, options, "collection", query, collection.fingerprint
         )
+        if key is None:
+            return run()
         result, led = self._singleflight.do(key, run)
         if not led:
             with self._lock:
@@ -1094,7 +1017,7 @@ class XPathEngine:
         self,
         query: str,
         collection,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         options: Optional[TranslationOptions] = None,
@@ -1110,142 +1033,54 @@ class XPathEngine:
         hold; governance, pruning and the global document-order merge
         are identical to :meth:`evaluate_collection`.  Streams are not
         coalesced, and outcome accounting mirrors
-        :meth:`evaluate_stream`: one submission per stream, settled
-        into exactly one governance outcome when it finishes.
+        :meth:`evaluate_stream`: submitted at the first ``next()``,
+        settled into exactly one governance outcome when it finishes.
 
         Node-set results page over the merged records; scalar results
         page over the per-shard values in shard order.
         """
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_collection_stream", eval_options, {}
-        )
-        eval_timeout = (
-            resolved.timeout if resolved.timeout is not None
-            else self.default_timeout
-        )
-        eval_max_tuples = (
-            resolved.max_tuples if resolved.max_tuples is not None
-            else self.default_max_tuples
-        )
-        eval_max_bytes = (
-            resolved.max_bytes if resolved.max_bytes is not None
-            else self.default_max_bytes
-        )
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-            self._engine_counters["collection_queries"] += 1
-            self._engine_counters["stream_queries"] += 1
+        request = self._request(eval_options)
         return self._collection_stream_pages(
-            query, collection, resolved, options, page_size,
-            eval_timeout, eval_max_tuples, eval_max_bytes,
+            query, collection, request, options, page_size
         )
 
     def _collection_stream_pages(
-        self, query, collection, resolved, options, page_size,
-        eval_timeout, eval_max_tuples, eval_max_bytes,
+        self, query, collection, request, options, page_size,
     ):
-        """Generator body of :meth:`evaluate_collection_stream`
-        (``queries_submitted`` was already counted by the caller)."""
-        settled = False
-
-        def settle(counter: str) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            with self._lock:
-                self._engine_counters[counter] += 1
-
-        start = time.perf_counter()
-        try:
-            result = collection.evaluate(
-                query,
-                variables=resolved.variables,
-                namespaces=resolved.namespace_map(),
-                options=options,
-                timeout=eval_timeout,
-                max_tuples=eval_max_tuples,
-                max_bytes=eval_max_bytes,
-                cancel=resolved.cancel,
-            )
-            merged = result.merged()
-            yielded = False
-            for offset in range(0, len(merged), page_size):
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield result.kind, merged[offset:offset + page_size]
-                yielded = True
-            if not yielded:
-                # An empty result still yields one (empty) page so the
-                # consumer always learns the result kind.
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield result.kind, []
-        except QueryTimeoutError:
-            settle("queries_timed_out")
-            raise
-        except QueryCancelledError:
-            settle("queries_cancelled")
-            raise
-        except QueryBudgetError:
-            settle("budget_aborts")
-            raise
-        finally:
-            settle("queries_completed")
-            with self._lock:
-                self._execution_count += 1
-                self._execution_seconds += time.perf_counter() - start
-                self._last_collection_stats = collection.stats()
+        """Generator body of :meth:`evaluate_collection_stream`."""
+        with _Scope(
+            self, collection=collection,
+            tags=("collection_queries", "stream_queries"),
+        ):
+            result = self._scatter(query, collection, request, options)
+            for page in self._pages(result.merged(), page_size):
+                yield result.kind, page
 
     def count(
         self,
         query: str,
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> int:
         """Count result tuples without materializing them."""
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.count",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_namespaces = resolved.namespace_map()
+        request = self._request(eval_options)
+        codegen = request.codegen or self.codegen_mode
+        namespaces = request.namespace_map()
         plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
+            query, options=options, namespaces=namespaces, target=target,
         )
         node = resolve_context_node(target)
-        start = time.perf_counter()
-        result = plan.count(
-            node, variables=resolved.variables,
-            namespaces=eval_namespaces,
-            governor=self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            ),
-            codegen=codegen,
-        )
-        self._note_codegen(plan, codegen)
-        self._record_execution(time.perf_counter() - start, plan, node)
+        governor = request.governor()
+        with _Scope(self, plan, node) as scope:
+            result = plan.count(
+                node, variables=request.variables, namespaces=namespaces,
+                governor=governor, codegen=codegen,
+            )
+            scope.note_codegen(plan, codegen)
         return result
 
     # -- observability -------------------------------------------------
@@ -1296,17 +1131,6 @@ class XPathEngine:
 
     # ------------------------------------------------------------------
 
-    def _note_codegen(self, plan: CompiledQuery, codegen: str) -> None:
-        """Account one execution's backend choice (after the call, when
-        the plan's lazily-computed codegen state is settled)."""
-        if codegen == "off":
-            return
-        with self._lock:
-            if plan.codegen_state == "compiled":
-                self._engine_counters["codegen_compiled"] += 1
-            elif plan.codegen_state == "unsupported":
-                self._engine_counters["codegen_fallbacks"] += 1
-
     def _execute(
         self,
         plan: CompiledQuery,
@@ -1314,121 +1138,52 @@ class XPathEngine:
         variables: Optional[Mapping[str, XPathValue]],
         namespaces: Optional[Mapping[str, str]],
         ordered: bool,
-        governor: Optional[ResourceGovernor] = None,
-        codegen: str = "off",
+        governor,
+        codegen: str,
     ) -> XPathValue:
-        """One governed plan execution, with outcome accounting.
-
-        Every execution increments ``queries_submitted``; exactly one of
-        ``queries_completed`` / ``queries_timed_out`` /
-        ``queries_cancelled`` / ``budget_aborts`` follows, so the four
-        always sum back to ``queries_submitted``.  "Completed" means the
-        run ended without a governance abort — a query raising an
-        ordinary evaluation error still *completed* its resource-governed
-        run.
-        """
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-        start = time.perf_counter()
-        try:
+        """One governed plan execution inside its accounting scope."""
+        with _Scope(self, plan, node) as scope:
             result = plan.evaluate(
                 node, variables, namespaces, ordered=ordered,
                 governor=governor, codegen=codegen,
             )
-            self._note_codegen(plan, codegen)
-        except QueryTimeoutError:
-            with self._lock:
-                self._engine_counters["queries_timed_out"] += 1
-            raise
-        except QueryCancelledError:
-            with self._lock:
-                self._engine_counters["queries_cancelled"] += 1
-            raise
-        except QueryBudgetError:
-            with self._lock:
-                self._engine_counters["budget_aborts"] += 1
-            raise
-        except BaseException:
-            with self._lock:
-                self._engine_counters["queries_completed"] += 1
-            raise
-        with self._lock:
-            self._engine_counters["queries_completed"] += 1
-        self._note_estimation(plan, result)
-        self._record_execution(time.perf_counter() - start, plan, node)
+            scope.note_codegen(plan, codegen)
+            scope.note_estimation(plan, result)
         return result
-
-    def _note_estimation(self, plan: CompiledQuery, result) -> None:
-        """Track the cost optimizer's estimation error against reality.
-
-        Only node-set results of cost-optimized plans are scored (the
-        estimator predicts result *rows*); ``cost_estimate_abs_error``
-        over ``cost_estimates_recorded`` is the mean absolute error.
-        """
-        report = plan.optimizer_report
-        if (report is None or getattr(report, "mode", "heuristic") != "cost"
-                or report.est_root_rows is None
-                or not isinstance(result, list)):
-            return
-        estimated = int(round(report.est_root_rows))
-        with self._lock:
-            self._engine_counters["cost_estimates_recorded"] += 1
-            self._engine_counters["cost_estimated_rows"] += estimated
-            self._engine_counters["cost_actual_rows"] += len(result)
-            self._engine_counters["cost_estimate_abs_error"] += abs(
-                estimated - len(result)
-            )
 
     def _coalesce_key(
         self,
-        query: str,
-        node: Node,
-        variables: Optional[Mapping[str, XPathValue]],
-        namespaces: Optional[Mapping[str, str]],
+        request: EvalOptions,
         options: Optional[TranslationOptions],
-        ordered: bool,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-        codegen: str = "off",
+        *what: Hashable,
     ) -> Optional[Hashable]:
         """The singleflight key, or None when coalescing is off.
 
-        Calls with variables are never coalesced (variable values may be
-        unhashable node-sets).  The target enters by identity — the
-        leader keeps the node alive for the duration of the flight, so
-        the id cannot be recycled mid-call.  The governance limits are
-        part of the key: two calls with different deadlines or budgets
-        must never share a flight (a tightly-limited leader would fail
-        loosely-limited followers), and a distinct cancel token keys a
-        distinct flight for the same reason.  The effective ``codegen``
-        backend is part of the key too — a forced-compiled call must
-        not share a flight with an interpreted one.
+        ``what`` identifies the work apart from its request: the query,
+        the target and the result shape.  Calls with variables are never
+        coalesced (variable values may be unhashable node-sets).  A node
+        target enters by ``id`` — the leader keeps the node alive for
+        the duration of the flight, so the id cannot be recycled
+        mid-call — with the effective ``codegen`` backend next to it (a
+        forced-compiled call must not share a flight with an
+        interpreted one); a collection enters by fingerprint.  The
+        governance limits are part of the key: two calls with different
+        deadlines or budgets must never share a flight (a
+        tightly-limited leader would fail loosely-limited followers),
+        and a distinct cancel token keys a distinct flight for the same
+        reason.
         """
-        if not self.coalesce or variables:
+        if not self.coalesce or request.variables:
             return None
-        return (
-            query,
+        cancel = request.cancel
+        return what + (
             options or self.options,
-            _namespace_signature(namespaces),
-            id(node),
-            ordered,
-            timeout,
-            max_tuples,
-            max_bytes,
+            request.namespaces or (),
+            request.timeout,
+            request.max_tuples,
+            request.max_bytes,
             id(cancel) if cancel is not None else None,
-            codegen,
         )
-
-    def _record_execution(
-        self, elapsed: float, plan: CompiledQuery, node: Node
-    ) -> None:
-        with self._lock:
-            self._execution_count += 1
-            self._execution_seconds += elapsed
-            self._last_plan = plan
-            self._last_buffer = _buffer_snapshot(node)
 
 
 def _buffer_snapshot(node: Node) -> Optional[BufferSnapshot]:

@@ -29,6 +29,11 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro import __version__, open_collection, open_store, parse_document
+from repro.engine.options import (
+    CODEGEN_MODES,
+    INDEX_MODES,
+    OPTIMIZER_MODES,
+)
 from repro.engine.session import XPathEngine
 from repro.errors import ReproError
 from repro.server.server import ServerConfig, XPathServer
@@ -111,16 +116,15 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default: 60; 0 disables)",
     )
     parser.add_argument(
-        "--index", choices=("auto", "off", "force"), default="auto",
+        "--index", choices=INDEX_MODES, default="auto",
         help="engine index-routing mode (default: auto)",
     )
     parser.add_argument(
-        "--codegen", choices=("auto", "off", "force"), default="off",
+        "--codegen", choices=CODEGEN_MODES, default="off",
         help="engine codegen mode for mode=full requests (default: off)",
     )
     parser.add_argument(
-        "--optimizer", choices=("heuristic", "cost"),
-        default="heuristic",
+        "--optimizer", choices=OPTIMIZER_MODES, default="heuristic",
         help="engine plan-choice mode (default: heuristic)",
     )
     arguments = parser.parse_args(argv)

@@ -47,7 +47,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import errors as E
-from repro.api import EvalOptions
+from repro.engine.options import (
+    CODEGEN_MODES,
+    INDEX_MODES,
+    OPTIMIZER_MODES,
+    EvalOptions,
+)
 
 #: Protocol revision carried in every header frame.
 PROTOCOL_VERSION = 1
@@ -286,9 +291,9 @@ def parse_request(body: bytes) -> QueryRequest:
         timeout=_number("timeout", integral=False),
         max_tuples=_number("max_tuples", integral=True),
         max_bytes=_number("max_bytes", integral=True),
-        index=_mode_knob("index", ("auto", "off", "force")),
-        codegen=_mode_knob("codegen", ("auto", "off", "force")),
-        optimizer=_mode_knob("optimizer", ("heuristic", "cost")),
+        index=_mode_knob("index", INDEX_MODES),
+        codegen=_mode_knob("codegen", CODEGEN_MODES),
+        optimizer=_mode_knob("optimizer", OPTIMIZER_MODES),
     )
 
 

@@ -714,17 +714,21 @@ class XPathServer:
         plan instances are safe because this one thread owns the whole
         evaluation, start to finish.
         """
+        def put_pages(kind: str, items) -> None:
+            # A materialized (mode="full") answer, cut into frames; an
+            # empty one still sends its single empty page.
+            buffer.put_header(kind)
+            for start in range(0, max(len(items), 1), page_size):
+                page = items[start:start + page_size]
+                buffer.put_page([encode_item(v) for v in page])
+
         try:
             if isinstance(target, Collection):
                 if request.mode == "full":
                     result = self.engine.evaluate_collection(
                         request.query, target, eval_options
                     )
-                    buffer.put_header(result.kind)
-                    merged = result.merged()
-                    for start in range(0, max(len(merged), 1), page_size):
-                        page = merged[start:start + page_size]
-                        buffer.put_page([encode_item(v) for v in page])
+                    put_pages(result.kind, result.merged())
                 else:
                     stream = self.engine.evaluate_collection_stream(
                         request.query, target, eval_options,
@@ -742,17 +746,9 @@ class XPathServer:
                     ordered=request.ordered,
                 )
                 if isinstance(result, list):
-                    buffer.put_header("node-set")
-                    for start in range(
-                        0, max(len(result), 1), page_size
-                    ):
-                        page = result[start:start + page_size]
-                        buffer.put_page(
-                            [encode_item(v) for v in page]
-                        )
+                    put_pages("node-set", result)
                 else:
-                    buffer.put_header("scalar")
-                    buffer.put_page([encode_item(result)])
+                    put_pages("scalar", [result])
             else:
                 plan = self.engine.compile(
                     request.query,

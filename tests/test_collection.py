@@ -738,6 +738,20 @@ class TestEngineSurface:
         assert counters["stream_queries"] >= 1
         assert counters["collection_queries"] >= 2
 
+    def test_never_pulled_collection_stream_counts_nothing(
+        self, corpus_collection
+    ):
+        # Submitted at the first next(), like evaluate_stream: closing
+        # the stream before that must leave no unsettled submission.
+        engine = XPathEngine()
+        engine.evaluate_collection_stream(
+            "//item", corpus_collection, page_size=7
+        ).close()
+        stats = engine.stats()
+        assert stats.runtime_counters["queries_submitted"] == 0
+        assert stats.runtime_counters.get("collection_queries", 0) == 0
+        assert stats.execution_count == 0
+
     def test_closed_collection_raises(self, tmp_path):
         collection = _crash_collection(tmp_path)
         collection.close()

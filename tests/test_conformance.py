@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro import evaluate, parse_document
+from repro import EvalOptions, evaluate, parse_document
 
 PARA = parse_document(
     "<doc>"
@@ -42,7 +42,7 @@ def _strings(value):
 
 def check(doc, query, expected, **kwargs):
     for engine in ("natix", "naive"):
-        result = evaluate(query, doc, engine=engine, **kwargs)
+        result = evaluate(query, doc, EvalOptions(engine=engine, **kwargs))
         if isinstance(expected, list):
             assert _strings(result) == sorted(expected), (engine, query)
         elif isinstance(expected, float) and math.isnan(expected):

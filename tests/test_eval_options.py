@@ -1,13 +1,11 @@
 """The unified :class:`EvalOptions` per-call API.
 
 Pins the PR-6 redesign contract: one frozen value object carries every
-per-call knob, is accepted uniformly by all evaluation entry points, is
-stable enough to serve as a plan-cache/coalescing key, and the legacy
-individual keyword arguments keep working behind a single consolidated
-``DeprecationWarning``.
+per-call knob, is accepted uniformly by all evaluation entry points,
+and is stable enough to serve as a plan-cache/coalescing key.  (The
+pre-2.0 individual keyword arguments are gone; ``tests/test_session.py``
+pins that they are an ordinary ``TypeError``.)
 """
-
-import warnings
 
 import pytest
 
@@ -168,57 +166,10 @@ class TestCacheAndCoalesceKey:
         assert stats.cache.hits == 1
 
 
-class TestLegacyKeywordAdapter:
-    def test_single_consolidated_warning_names_all_kwargs(self):
-        engine = XPathEngine()
-        with pytest.warns(DeprecationWarning) as record:
-            result = engine.evaluate(
-                "count(//b) = $n",
-                DOC,
-                variables={"n": 2.0},
-                max_tuples=100_000,
-            )
-        assert result is True
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert "max_tuples" in message and "variables" in message
-        assert "EvalOptions" in message
-
-    def test_one_shot_evaluate_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            assert evaluate("count(//b)", DOC, engine="naive") == 2.0
-
-    def test_mixing_eval_options_and_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="both eval_options"):
-            evaluate(
-                "//b", DOC, EvalOptions(variables={"n": 1.0}),
-                variables={"n": 2.0},
-            )
-
-    def test_eval_options_path_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            XPathEngine().evaluate(
-                "count(//b)", DOC, EvalOptions(max_tuples=100_000)
-            )
-            evaluate("count(//b)", DOC, EvalOptions())
-
-
 class TestStoreHelperSignatures:
-    def test_positional_buffer_pages_warns_but_works(self, tmp_path):
+    def test_keyword_buffer_pages(self, tmp_path):
         path = tmp_path / "doc.natix"
         store_document(DOC, path)
-        with pytest.warns(DeprecationWarning, match="buffer_pages"):
-            with open_store(path, 32) as stored:
-                assert evaluate("count(//b)", stored) == 2.0
-        with pytest.warns(DeprecationWarning, match="buffer_pages"):
-            build_indexes(path, 32)
-
-    def test_keyword_buffer_pages_is_clean(self, tmp_path):
-        path = tmp_path / "doc.natix"
-        store_document(DOC, path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_indexes(path, buffer_pages=32)
-            with open_store(path, buffer_pages=32) as stored:
-                assert evaluate("count(//b)", stored) == 2.0
+        build_indexes(path, buffer_pages=32)
+        with open_store(path, buffer_pages=32) as stored:
+            assert evaluate("count(//b)", stored) == 2.0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import parse_document
+from repro import EvalOptions, evaluate, parse_document
 from repro.errors import XPathNameError, XPathTypeError
 from repro.xpath import functions as fnlib
 from repro.xpath.context import make_context
@@ -296,15 +296,13 @@ class TestNumberEdgeCasesSection44:
 
     @pytest.mark.parametrize("start, length, expected", SUBSTRING_TABLE)
     def test_substring_specials_compiled(self, start, length, expected):
-        from repro import evaluate
-
         doc = parse_document("<a/>")
         arguments = f"'12345', {start}"
         if length is not None:
             arguments += f", {length}"
         query = f"substring({arguments})"
         for engine in ("natix", "naive"):
-            assert evaluate(query, doc, engine=engine) == expected, (
+            assert evaluate(query, doc, EvalOptions(engine=engine)) == expected, (
                 query, engine,
             )
 
@@ -329,15 +327,13 @@ class TestNumberEdgeCasesSection44:
     def test_round_negative_zero_observable_in_engine(self):
         # 1 div -0.0 is -Infinity; the only way XPath can observe the
         # sign of round()'s zero.
-        from repro import evaluate
-
         doc = parse_document("<a/>")
         for engine in ("natix", "naive"):
             assert evaluate(
-                "1 div round(-0.5)", doc, engine=engine
+                "1 div round(-0.5)", doc, EvalOptions(engine=engine)
             ) == -INF, engine
             assert evaluate(
-                "1 div round(0.4)", doc, engine=engine
+                "1 div round(0.4)", doc, EvalOptions(engine=engine)
             ) == INF, engine
 
     def test_round_specials_direct(self):
@@ -372,18 +368,14 @@ class TestNumberEdgeCasesSection44:
     @pytest.mark.parametrize("doclang, wanted, expected", LANG_TABLE)
     def test_lang_sublanguage_casing_compiled(self, doclang, wanted,
                                               expected):
-        from repro import evaluate
-
         document = parse_document(f'<r><w xml:lang="{doclang}"/></r>')
         query = f"count(//w[lang('{wanted}')])"
         for engine in ("natix", "naive"):
-            assert evaluate(query, document, engine=engine) == (
-                1.0 if expected else 0.0
-            ), (doclang, wanted, engine)
+            assert evaluate(
+                query, document, EvalOptions(engine=engine)
+            ) == (1.0 if expected else 0.0), (doclang, wanted, engine)
 
     def test_lang_inherited_from_ancestor(self):
-        from repro import evaluate
-
         document = parse_document(
             '<r xml:lang="en-GB"><w>hi</w><x xml:lang="de"><y/></x></r>'
         )

@@ -26,6 +26,7 @@ import pytest
 
 from repro import (
     CancelToken,
+    EvalOptions,
     ResourceGovernor,
     XPathEngine,
     compile_xpath,
@@ -39,7 +40,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryGovernanceError,
     QueryTimeoutError,
-    ReproError,
+    UnboundVariableError,
 )
 
 #: A document the pathological query below is super-linear in: big
@@ -161,7 +162,9 @@ class TestEvaluateGovernance:
         requested = 0.25
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
-            engine.evaluate(PATHOLOGICAL, HUGE, timeout=requested)
+            engine.evaluate(
+                PATHOLOGICAL, HUGE, EvalOptions(timeout=requested)
+            )
         elapsed = time.monotonic() - start
         assert elapsed < 2 * requested
 
@@ -185,20 +188,21 @@ class TestEvaluateGovernance:
             start = time.monotonic()
             with pytest.raises(QueryTimeoutError):
                 engine.evaluate(
-                    PATHOLOGICAL, stored.root, timeout=requested
+                    PATHOLOGICAL, stored.root,
+                    EvalOptions(timeout=requested),
                 )
             assert time.monotonic() - start < 2 * requested
 
     def test_tuple_budget_aborts(self):
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError) as excinfo:
-            engine.evaluate("//c", BIG, max_tuples=10)
+            engine.evaluate("//c", BIG, EvalOptions(max_tuples=10))
         assert excinfo.value.resource == "tuples"
 
     def test_byte_budget_aborts_result_collection(self):
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError) as excinfo:
-            engine.evaluate("//c", BIG, max_bytes=64)
+            engine.evaluate("//c", BIG, EvalOptions(max_bytes=64))
         assert excinfo.value.resource == "bytes"
 
     def test_byte_budget_aborts_materialization(self):
@@ -208,7 +212,8 @@ class TestEvaluateGovernance:
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError):
             engine.evaluate(
-                "count(//b[position() = last()])", BIG, max_bytes=256
+                "count(//b[position() = last()])", BIG,
+                EvalOptions(max_bytes=256),
             )
 
     def test_cross_thread_cancel_mid_flight(self):
@@ -219,7 +224,9 @@ class TestEvaluateGovernance:
         start = time.monotonic()
         try:
             with pytest.raises(QueryCancelledError):
-                engine.evaluate(PATHOLOGICAL, BIG, cancel=token)
+                engine.evaluate(
+                    PATHOLOGICAL, BIG, EvalOptions(cancel=token)
+                )
         finally:
             timer.cancel()
         assert time.monotonic() - start < 2.0
@@ -228,18 +235,22 @@ class TestEvaluateGovernance:
         engine = XPathEngine()
         ungoverned = engine.evaluate("count(//c)", SMALL)
         governed = engine.evaluate(
-            "count(//c)", SMALL, timeout=30.0, max_tuples=100_000,
-            max_bytes=100_000_000,
+            "count(//c)", SMALL,
+            EvalOptions(
+                timeout=30.0, max_tuples=100_000, max_bytes=100_000_000
+            ),
         )
         assert governed == ungoverned == 3.0
 
     def test_timeout_does_not_poison_cache_or_singleflight(self):
         engine = XPathEngine()
         with pytest.raises(QueryTimeoutError):
-            engine.evaluate(PATHOLOGICAL, BIG, timeout=0.1)
+            engine.evaluate(PATHOLOGICAL, BIG, EvalOptions(timeout=0.1))
         # Same query text, generous limits, small target: the cached
         # plan must be reusable and the singleflight key released.
-        assert engine.evaluate("count(//c)", BIG, timeout=30.0) == 800.0
+        assert engine.evaluate(
+            "count(//c)", BIG, EvalOptions(timeout=30.0)
+        ) == 800.0
         assert engine.evaluate("count(//c)", BIG) == 800.0
 
     def test_engine_default_limits_apply(self):
@@ -247,8 +258,9 @@ class TestEvaluateGovernance:
         with pytest.raises(QueryBudgetError):
             engine.evaluate("//c", BIG)
         # Per-call limits win over the default.
-        assert engine.evaluate("count(//b)", SMALL,
-                               max_tuples=1_000_000) == 2.0
+        assert engine.evaluate(
+            "count(//b)", SMALL, EvalOptions(max_tuples=1_000_000)
+        ) == 2.0
 
     def test_env_var_default_timeout(self, monkeypatch):
         monkeypatch.setenv(session_module.TIMEOUT_ENV_VAR, "7.5")
@@ -263,40 +275,50 @@ class TestEvaluateGovernance:
     def test_coalesce_key_separates_governance_specs(self):
         engine = XPathEngine()
         node = SMALL.root
-        base = engine._coalesce_key("//c", node, None, None, None, False)
-        timed = engine._coalesce_key(
-            "//c", node, None, None, None, False, 1.0
-        )
-        other = engine._coalesce_key(
-            "//c", node, None, None, None, False, 2.0
-        )
-        assert len({base, timed, other}) == 3
+        keys = {
+            engine._coalesce_key(
+                request, None, "//c", id(node), False, "off"
+            )
+            for request in (
+                EvalOptions(),
+                EvalOptions(timeout=1.0),
+                EvalOptions(timeout=2.0),
+            )
+        }
+        assert len(keys) == 3
 
 
 class TestOneShotApiGovernance:
     def test_evaluate_timeout(self):
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
-            evaluate(PATHOLOGICAL, BIG, timeout=0.2)
+            evaluate(PATHOLOGICAL, BIG, EvalOptions(timeout=0.2))
         assert time.monotonic() - start < 0.4
 
     def test_evaluate_budget(self):
         with pytest.raises(QueryBudgetError):
-            evaluate("//c", BIG, max_tuples=5)
+            evaluate("//c", BIG, EvalOptions(max_tuples=5))
 
     def test_interpreters_reject_governance(self):
         with pytest.raises(ValueError):
-            evaluate("//c", SMALL, engine="naive", timeout=1.0)
+            evaluate(
+                "//c", SMALL, EvalOptions(engine="naive", timeout=1.0)
+            )
         with pytest.raises(ValueError):
-            evaluate("//c", SMALL, engine="memo", max_tuples=5)
+            evaluate(
+                "//c", SMALL, EvalOptions(engine="memo", max_tuples=5)
+            )
 
     def test_canonical_engine_governed(self):
         with pytest.raises(QueryBudgetError):
-            evaluate("//c", BIG, engine="natix-canonical", max_tuples=5)
+            evaluate(
+                "//c", BIG,
+                EvalOptions(engine="natix-canonical", max_tuples=5),
+            )
 
     def test_evaluate_concurrent_passthrough(self):
         results = evaluate_concurrent(
-            ["count(//c)", "count(//b)"], SMALL, timeout=30.0
+            ["count(//c)", "count(//b)"], SMALL, EvalOptions(timeout=30.0)
         )
         assert results == [3.0, 2.0]
 
@@ -315,7 +337,8 @@ class TestConcurrentGovernance:
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
             engine.evaluate_concurrent(
-                [PATHOLOGICAL], HUGE, timeout=requested, max_workers=2
+                [PATHOLOGICAL], HUGE, EvalOptions(timeout=requested),
+                max_workers=2,
             )
         assert time.monotonic() - start < 2 * requested
         # The pool was shut down cleanly and the engine still serves:
@@ -329,9 +352,9 @@ class TestConcurrentGovernance:
         results = engine.evaluate_concurrent(
             [PATHOLOGICAL, "count(//c)", "count(//b)"],
             BIG,
+            EvalOptions(max_tuples=10_000),
             max_workers=3,
             return_exceptions=True,
-            max_tuples=10_000,
         )
         # The pathological query blows its tuple budget; its siblings
         # run under the same per-query budget and fit comfortably.
@@ -356,8 +379,8 @@ class TestConcurrentGovernance:
         token = CancelToken()
         token.cancel("drain")
         results = engine.evaluate_concurrent(
-            ["count(//c)", "count(//b)"], BIG, cancel=token,
-            return_exceptions=True,
+            ["count(//c)", "count(//b)"], BIG,
+            EvalOptions(cancel=token), return_exceptions=True,
         )
         assert all(isinstance(r, QueryCancelledError) for r in results)
 
@@ -377,41 +400,136 @@ class TestConcurrentGovernance:
         counters = engine.stats().runtime_counters
         assert all(counters[name] == 0 for name in expected)
 
-    def test_counters_reconcile(self):
-        engine = XPathEngine(coalesce=False)
-        token = CancelToken()
-        token.cancel()
-        outcomes = {
-            "completed": lambda: engine.evaluate("count(//c)", SMALL),
-            "timed_out": lambda: engine.evaluate(
-                PATHOLOGICAL, BIG, timeout=0.05
-            ),
-            "budget": lambda: engine.evaluate("//c", BIG, max_tuples=3),
-            "cancelled": lambda: engine.evaluate(
-                "count(//c)", SMALL, cancel=token
-            ),
-            # A plain evaluation error still "completes" its governed
-            # run — it consumed resources and finished on its own.
-            "error": lambda: engine.evaluate("$missing", SMALL),
-        }
-        for run in outcomes.values():
-            try:
-                run()
-            except ReproError:
-                pass
-        counters = engine.stats().runtime_counters
-        assert counters["queries_submitted"] == 5
-        assert (
-            counters["queries_timed_out"]
-            + counters["queries_cancelled"]
-            + counters["budget_aborts"]
-            + counters["queries_completed"]
-            == counters["queries_submitted"]
-        )
-        assert counters["queries_timed_out"] == 1
-        assert counters["queries_cancelled"] == 1
-        assert counters["budget_aborts"] == 1
-        assert counters["queries_completed"] == 2
+
+# ----------------------------------------------------------------------
+# Outcome accounting: every entry point x every way a run can end
+# ----------------------------------------------------------------------
+
+_COLLECTION = pytest.mark.multiprocess
+
+#: How each entry point runs one query to the end of its answer.  The
+#: batch entry points get a batch of one, so every cell is one scope
+#: and one plan execution.
+ENTRY_POINTS = [
+    pytest.param(
+        lambda engine, query, target, options:
+            engine.evaluate(query, target, options),
+        False, id="evaluate",
+    ),
+    pytest.param(
+        lambda engine, query, target, options:
+            list(engine.evaluate_stream(
+                query, target, options, page_size=2
+            )),
+        False, id="evaluate_stream",
+    ),
+    pytest.param(
+        lambda engine, query, target, options:
+            engine.evaluate_many([query], target, options),
+        False, id="evaluate_many",
+    ),
+    pytest.param(
+        lambda engine, query, target, options:
+            engine.evaluate_concurrent([query], target, options),
+        False, id="evaluate_concurrent",
+    ),
+    pytest.param(
+        lambda engine, query, target, options:
+            engine.count(query, target, options),
+        False, id="count",
+    ),
+    pytest.param(
+        lambda engine, query, collection, options:
+            engine.evaluate_collection(query, collection, options),
+        True, id="evaluate_collection", marks=_COLLECTION,
+    ),
+    pytest.param(
+        lambda engine, query, collection, options:
+            list(engine.evaluate_collection_stream(
+                query, collection, options, page_size=2
+            )),
+        True, id="evaluate_collection_stream", marks=_COLLECTION,
+    ),
+]
+
+def _cancelled_token() -> CancelToken:
+    token = CancelToken()
+    token.cancel("test")
+    return token
+
+
+#: (query, options, the error it ends in, the counter it settles
+#: into).  A plain evaluation error still "completes" its governed run
+#: — it consumed resources and finished on its own.
+OUTCOMES = [
+    pytest.param(
+        "//c", lambda: EvalOptions(), None, "queries_completed",
+        id="ok",
+    ),
+    pytest.param(
+        "//c[$missing]", lambda: EvalOptions(), UnboundVariableError,
+        "queries_completed", id="execution-error",
+    ),
+    pytest.param(
+        PATHOLOGICAL, lambda: EvalOptions(timeout=0.05),
+        QueryTimeoutError, "queries_timed_out", id="timeout",
+    ),
+    pytest.param(
+        "//c", lambda: EvalOptions(max_tuples=3), QueryBudgetError,
+        "budget_aborts", id="tuple-budget",
+    ),
+    pytest.param(
+        PATHOLOGICAL, lambda: EvalOptions(cancel=_cancelled_token()),
+        QueryCancelledError, "queries_cancelled", id="cancel",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def big_collection(tmp_path_factory):
+    from repro.collection import (
+        Collection,
+        create_collection_from_document,
+    )
+
+    directory = tmp_path_factory.mktemp("governance") / "big"
+    create_collection_from_document(BIG, directory, shards=2)
+    with Collection(directory, workers=2) as collection:
+        yield collection
+
+
+@pytest.mark.parametrize("query, make_options, error, outcome", OUTCOMES)
+@pytest.mark.parametrize("run, on_collection", ENTRY_POINTS)
+def test_counters_reconcile(
+    request, run, on_collection, query, make_options, error, outcome
+):
+    """However a run ends, through whichever entry point: one
+    submission, exactly one outcome, one recorded execution, and the
+    compiled plan still cached."""
+    target = (
+        request.getfixturevalue("big_collection") if on_collection
+        else BIG
+    )
+    engine = XPathEngine(coalesce=False)
+    if error is None:
+        run(engine, query, target, make_options())
+    else:
+        with pytest.raises(error):
+            run(engine, query, target, make_options())
+    stats = engine.stats()
+    counters = stats.runtime_counters
+    settled = {
+        name: counters[name]
+        for name in session_module.GOVERNANCE_COUNTERS
+        if name != "queries_submitted" and counters[name]
+    }
+    assert counters["queries_submitted"] == 1
+    assert settled == {outcome: 1}
+    assert stats.execution_count == 1
+    # Collections cache their shipped plans themselves; a document
+    # target's plan is in the engine's cache and survives the abort.
+    assert stats.cache.size == (0 if on_collection else 1)
+    assert stats.cache.evictions == 0
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +545,7 @@ class TestBatchGovernance:
             engine.evaluate_many(
                 ["count(//b)", "count(//b)", "count(//b)"],
                 BIG,
-                max_tuples=1000,
+                EvalOptions(max_tuples=1000),
             )
 
     def test_ungoverned_batch_unaffected(self):

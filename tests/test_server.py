@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import EvalOptions, XPathEngine, parse_document, store_document
+from repro import XPathEngine, parse_document, store_document
 from repro.engine.session import DEFAULT_PAGE_SIZE
 from repro.errors import (
     QueryBudgetError,
@@ -140,31 +140,31 @@ class TestEvaluateStream:
         with pytest.raises(ValueError):
             engine.evaluate_stream("//item", document, page_size=0)
 
-    def test_stream_counters_reconcile(self, document):
+    def test_stream_counters(self, document):
+        # (Outcome accounting of streams: the entry-point x outcome
+        # table in test_governance.py.)
         engine = XPathEngine()
         list(engine.evaluate_stream("//item", document, page_size=7))
         counters = engine.stats().runtime_counters
         assert counters["stream_queries"] == 1
         assert counters["stream_pages"] == 5
-        assert counters["queries_submitted"] == 1
-        assert counters["queries_completed"] == 1
 
-    def test_budget_abort_mid_stream(self, document):
+    @pytest.mark.parametrize("drop", ["close", "garbage-collect"])
+    def test_never_pulled_stream_counts_nothing(self, document, drop):
+        # A stream is submitted at its first next(): one that is closed
+        # or dropped before that (the server's abort-before-header
+        # path) must not leave a submission that never settles.
         engine = XPathEngine()
-        stream = engine.evaluate_stream(
-            "//item", document,
-            EvalOptions(max_tuples=5), page_size=2,
-        )
-        with pytest.raises(QueryBudgetError):
-            list(stream)
-        counters = engine.stats().runtime_counters
-        assert counters["budget_aborts"] == 1
-        assert counters["queries_submitted"] == (
-            counters["queries_completed"]
-            + counters["queries_timed_out"]
-            + counters["queries_cancelled"]
-            + counters["budget_aborts"]
-        )
+        stream = engine.evaluate_stream("//item", document, page_size=3)
+        if drop == "close":
+            stream.close()
+        del stream
+        stats = engine.stats()
+        counters = stats.runtime_counters
+        assert counters["queries_submitted"] == 0
+        assert counters["queries_completed"] == 0
+        assert counters.get("stream_queries", 0) == 0
+        assert stats.execution_count == 0
 
     def test_abandoned_stream_still_settles_counters(self, document):
         engine = XPathEngine()
@@ -280,6 +280,25 @@ class TestLoopback:
         assert streamed.canonical() == full.canonical()
         assert len(streamed.pages) >= 2
         assert len(full.pages) >= 2
+
+    def test_streams_interpret_under_a_forced_codegen_engine(self, stored):
+        # Streams have no generated-Python form; an engine configured
+        # with codegen="force" must still serve the default
+        # mode="stream" (and compile its mode="full" answers).
+        engine = XPathEngine(codegen="force")
+        config = ServerConfig(port=0, page_size=7)
+        with start_in_thread(
+            {"doc": stored}, engine=engine, config=config
+        ) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                streamed = client.query("//item")
+                full = client.query("//item", mode="full")
+        assert streamed.ok and full.ok
+        assert len(streamed.pages) >= 2
+        assert streamed.canonical() == full.canonical()
+        counters = engine.stats().runtime_counters
+        assert counters["stream_queries"] == 1
+        assert counters["codegen_compiled"] == 1
 
     def test_scalars_round_trip(self, document):
         with start_in_thread({"doc": document}) as handle:
@@ -552,6 +571,15 @@ class TestAdmissionRelease:
         assert admission["orphan_releases"] == 0
         assert admission["admitted"] >= 1
         assert admission["released"] == admission["admitted"]
+        # ... and every stream the engine counted as submitted settled,
+        # wherever the disconnect caught it.
+        counters = engine.stats().runtime_counters
+        assert counters["queries_submitted"] == (
+            counters["queries_completed"]
+            + counters["queries_timed_out"]
+            + counters["queries_cancelled"]
+            + counters["budget_aborts"]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -657,6 +685,34 @@ class TestPageBufferAbort:
             loop.call_soon_threadsafe(loop.stop)
             runner.join(timeout=5)
             loop.close()
+
+
+    def test_abort_before_the_header_leaves_nothing_unsettled(
+        self, document
+    ):
+        """The producer creates its stream, then fails to queue the
+        header because the connection's event loop is gone: the stream
+        is dropped unpulled and must not count as a submission that
+        never settles."""
+        import asyncio
+
+        from repro.server.server import _PageBuffer
+
+        engine = XPathEngine()
+        server = XPathServer({"doc": document}, engine=engine)
+        loop = asyncio.new_event_loop()
+        loop.close()
+        try:
+            request = parse_request(b'{"query": "//item"}')
+            server._produce(
+                request, document, request.eval_options(), 4,
+                _PageBuffer(loop, capacity=2),
+            )
+        finally:
+            server._executor.shutdown()
+        stats = engine.stats()
+        assert stats.runtime_counters["queries_submitted"] == 0
+        assert stats.execution_count == 0
 
 
 # ----------------------------------------------------------------------

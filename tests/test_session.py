@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     ENGINES,
+    EvalOptions,
     TranslationOptions,
     XPathEngine,
     compile_xpath,
@@ -19,7 +20,7 @@ from repro import (
 )
 from repro.api import engine_names, get_engine_factory
 from repro.engine.cache import StripedPlanCache
-from repro.engine.session import PlanCache, resolve_context_node
+from repro.engine.session import resolve_context_node
 
 DOC = parse_document(
     "<xdoc>"
@@ -51,10 +52,10 @@ class TestPlanCache:
         doc = parse_document('<a xmlns:p="urn:p"><p:b/></a>')
         engine = XPathEngine()
         one = engine.evaluate(
-            "count(//x:b)", doc, namespaces={"x": "urn:p"}
+            "count(//x:b)", doc, EvalOptions(namespaces={"x": "urn:p"})
         )
         two = engine.evaluate(
-            "count(//x:b)", doc, namespaces={"x": "urn:other"}
+            "count(//x:b)", doc, EvalOptions(namespaces={"x": "urn:other"})
         )
         assert (one, two) == (1.0, 0.0)
         assert engine.stats().cache.misses == 2
@@ -104,9 +105,9 @@ class TestPlanCache:
 
     def test_cache_capacity_validation(self):
         with pytest.raises(ValueError):
-            PlanCache(0)
+            StripedPlanCache(0)
         with pytest.raises(ValueError):
-            PlanCache(8, shards=0)
+            StripedPlanCache(8, shards=0)
 
     def test_clear_cache(self):
         engine = XPathEngine()
@@ -199,7 +200,7 @@ class TestEvaluateMany:
     def test_batch_variables(self):
         engine = XPathEngine()
         results = engine.evaluate_many(
-            ["$n + 1", "$n * 2"], DOC, variables={"n": 10.0}
+            ["$n + 1", "$n * 2"], DOC, EvalOptions(variables={"n": 10.0})
         )
         assert results == [11.0, 20.0]
 
@@ -282,7 +283,9 @@ class TestEngineRegistry:
         register_engine("always-42", factory)
         try:
             assert "always-42" in engine_names()
-            assert evaluate("//whatever", DOC, engine="always-42") == 42.0
+            assert evaluate(
+                "//whatever", DOC, EvalOptions(engine="always-42")
+            ) == 42.0
             assert calls == ["//whatever"]
         finally:
             unregister_engine("always-42")
@@ -297,7 +300,7 @@ class TestEngineRegistry:
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="sloth"):
-            evaluate("//b", DOC, engine="sloth")
+            evaluate("//b", DOC, EvalOptions(engine="sloth"))
 
 
 class TestKeywordOnlyAPI:
@@ -314,26 +317,24 @@ class TestKeywordOnlyAPI:
         # Explicit namespaces still override the compiled defaults.
         assert compiled.evaluate(doc.root, None, {"x": "urn:z"}) == 0.0
 
-    def test_positional_options_now_rejected(self):
-        # Deprecated (with a warning) in v1.1; a TypeError since v1.3.
-        with pytest.raises(TypeError, match="no longer supported"):
-            compile_xpath("//b", TranslationOptions.canonical())
-
-    def test_positional_evaluate_args_now_rejected(self):
-        doc = parse_document('<a xmlns:p="urn:p"><p:b/></a>')
-        with pytest.raises(TypeError, match="no longer supported"):
-            evaluate(
-                "count(//x:b) + $n", doc, {"n": 1.0}, {"x": "urn:p"},
-                "natix",
-            )
-
-    def test_positional_and_keyword_mix_rejected(self):
-        with pytest.raises(TypeError):
-            evaluate("//b", DOC, {"n": 1.0}, variables={"n": 2.0})
-
-    def test_too_many_positionals_rejected(self):
-        with pytest.raises(TypeError):
-            compile_xpath("//b", None, None)
+    def test_removed_call_forms_are_ordinary_type_errors(self, tmp_path):
+        # The pre-2.0 adapters are gone: per-call keywords, positional
+        # options and a bare mapping where EvalOptions belongs all fail
+        # the way any wrong call does.
+        engine = XPathEngine()
+        for call in (
+            lambda: engine.evaluate("//b", DOC, timeout=1.0),
+            lambda: engine.evaluate_many(["//b"], DOC, variables={}),
+            lambda: engine.evaluate_concurrent(["//b"], DOC, max_tuples=1),
+            lambda: engine.count("//b", DOC, cancel=None),
+            lambda: evaluate("//b", DOC, engine="naive"),
+            lambda: evaluate("//b", DOC, None, {"n": 1.0}),
+            lambda: evaluate("//b", DOC, {"n": 1.0}),
+            lambda: compile_xpath("//b", TranslationOptions.canonical()),
+            lambda: open_store(tmp_path / "doc.natix", 32),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestEvaluateTargetProtocol:
