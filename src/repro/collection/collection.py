@@ -171,6 +171,11 @@ class CollectionStats:
     submits N, whether or not the synopsis then prunes some of them),
     and reconcile at every quiescent point: ``submitted == completed +
     timed_out + cancelled + failed + shards_pruned``.
+
+    ``codegen_compiled`` / ``codegen_fallbacks`` mean what the engine
+    runtime counters of those names mean, counted per completed shard
+    task: the task's plan ran as generated Python, or had no lowering
+    and ran interpreted.  Pruned shards count neither.
     """
 
     name: str
@@ -190,6 +195,8 @@ class CollectionStats:
     plans_shipped: int
     shipped_cache_hits: int
     recycles: int
+    codegen_compiled: int
+    codegen_fallbacks: int
 
     def to_dict(self) -> dict:
         """A plain-dict rendering (safe for ``json.dumps``): per-shard
@@ -227,6 +234,10 @@ class Collection:
     steps; pruned shards contribute provably-empty node-set slices and
     are counted in :class:`CollectionStats` — results are bit-identical
     with pruning on or off.
+
+    The backend is not a knob: every shard task runs as generated
+    Python when its per-shard plan lowers and interpreted when it does
+    not (counted as ``codegen_compiled`` / ``codegen_fallbacks``).
     """
 
     def __init__(
@@ -279,6 +290,8 @@ class Collection:
         self._gather_seconds = 0.0
         self._plans_shipped = 0
         self._shipped_hits = 0
+        self._codegen_compiled = 0
+        self._codegen_fallbacks = 0
 
     # -- basic properties ----------------------------------------------
 
@@ -439,6 +452,10 @@ class Collection:
                 key = _outcome_key(outcome)
                 self._counters[key] += 1
                 self._per_shard[shard][key] += 1
+                if outcome.generated is True:
+                    self._codegen_compiled += 1
+                elif outcome.generated is False:
+                    self._codegen_fallbacks += 1
         return outcomes
 
     def _resolve(
@@ -549,6 +566,8 @@ class Collection:
                 plans_shipped=self._plans_shipped,
                 shipped_cache_hits=self._shipped_hits,
                 recycles=self.pool.recycles,
+                codegen_compiled=self._codegen_compiled,
+                codegen_fallbacks=self._codegen_fallbacks,
             )
 
     # -- lifecycle -----------------------------------------------------

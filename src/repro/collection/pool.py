@@ -67,12 +67,14 @@ CANCEL_SLOTS = 128
 class ShardOutcome:
     """How one shard's task resolved: exactly one of ok/error/pruned."""
 
-    __slots__ = ("shard", "payload", "error", "elapsed", "pruned")
+    __slots__ = ("shard", "payload", "error", "elapsed", "pruned",
+                 "generated")
 
     def __init__(self, shard: int, payload=None,
                  error: Optional[Exception] = None,
                  elapsed: float = 0.0,
-                 pruned: bool = False):
+                 pruned: bool = False,
+                 generated: Optional[bool] = None):
         self.shard = shard
         self.payload = payload
         self.error = error
@@ -80,6 +82,9 @@ class ShardOutcome:
         #: True when the parent skipped the shard on synopsis evidence
         #: and synthesized its (empty) payload without scattering.
         self.pruned = pruned
+        #: The worker's backend for an ok query task: True = generated
+        #: Python, False = interpreted; None when no plan ran.
+        self.generated = generated
 
     @property
     def ok(self) -> bool:
@@ -339,11 +344,11 @@ class WorkerPool:
         """Drain the shared result queue, route messages, sweep hazards.
 
         The single thread that mutates flight state on the happy path:
-        it routes each ``(kind, qid, shard, body, elapsed)`` message
-        into its flight, fires sibling cancellation on a flight's first
-        error, and — between messages — sweeps for dead workers and
-        deadline-overrunning flights, recycling the pool when either
-        appears.  Messages for unknown qids or already-resolved shards
+        it routes each ``(kind, qid, shard, body, elapsed, generated)``
+        message into its flight, fires sibling cancellation on a
+        flight's first error, and — between messages — sweeps for dead
+        workers and deadline-overrunning flights, recycling the pool
+        when either appears.  Messages for unknown qids or already-resolved shards
         are stale leftovers of failed flights and are dropped.
         """
         while not self._closed:
@@ -364,7 +369,7 @@ class WorkerPool:
                 continue
 
     def _route(self, message) -> None:
-        kind, qid, shard, body, elapsed = message
+        kind, qid, shard, body, elapsed, generated = message
         finished = None
         fail_siblings = False
         with self._state_lock:
@@ -374,7 +379,8 @@ class WorkerPool:
             flight.pending.discard(shard)
             if kind == "ok":
                 flight.outcomes[shard] = ShardOutcome(
-                    shard, payload=body, elapsed=elapsed
+                    shard, payload=body, elapsed=elapsed,
+                    generated=generated,
                 )
             else:
                 flight.outcomes[shard] = ShardOutcome(

@@ -8,6 +8,13 @@ queue compiling shipped translations (:func:`compile_shipped`) into a
 private per-shard plan cache and evaluating them under a per-task
 :class:`~repro.engine.governor.ResourceGovernor`.
 
+The worker picks its own backend: every query task runs through the
+generated-Python backend when the per-shard plan lowers and through the
+interpreted iterator tree when it does not (``codegen="auto"``).  Code
+is emitted once per (shard, plan) and kept on the cached
+:class:`~repro.compiler.pipeline.CompiledQuery`, so a plan-cache hit
+pays no emission.
+
 Everything crossing the process boundary is plain picklable data:
 
 - **Tasks** (parent → worker): ``("query", qid, shard, ShippedPlan,
@@ -17,10 +24,13 @@ Everything crossing the process boundary is plain picklable data:
   max_tuples, max_bytes)``; the worker rebases its governor onto the
   shipped collection deadline, so queue wait counts against it.
 - **Results** (worker → parent): ``("ok", qid, shard, payload,
-  elapsed)`` or ``("err", qid, shard, encoded_error, elapsed)``.
-  Node-set payloads are canonical record tuples ``(sort_key, kind,
-  name, string_value)`` in document order — live node handles never
-  leave the process that owns their pages.
+  elapsed, generated)`` or ``("err", qid, shard, encoded_error,
+  elapsed, None)``.  ``generated`` is ``True`` when a query task ran as
+  generated Python, ``False`` when it was interpreted, and ``None`` for
+  tasks that ran no plan (sleeps, errors).  Node-set payloads are
+  canonical record tuples ``(sort_key, kind, name, string_value)`` in
+  document order — live node handles never leave the process that owns
+  their pages.
 
 Cross-process cancellation rides one shared ``multiprocessing.Array``
 of qid slots (shared by every worker of the pool): the parent parks
@@ -238,6 +248,7 @@ def worker_main(
                 break
             qid, shard = task[1], task[2]
             started = time.monotonic()
+            generated = None
             try:
                 if shard in open_errors:
                     raise errors_module.CollectionError(
@@ -253,7 +264,7 @@ def worker_main(
                     )
                 elif kind == "query":
                     shipped, variables, namespaces, limits = task[3:7]
-                    payload = _run_query(
+                    payload, generated = _run_query(
                         stores[shard], shard, index_mode, plan_cache,
                         shipped, variables, namespaces, limits,
                         cancel_slots, qid,
@@ -265,12 +276,12 @@ def worker_main(
             except BaseException as error:  # noqa: BLE001 - shipped back
                 result_queue.put(
                     ("err", qid, shard, encode_error(error),
-                     time.monotonic() - started)
+                     time.monotonic() - started, None)
                 )
             else:
                 result_queue.put(
                     ("ok", qid, shard, payload,
-                     time.monotonic() - started)
+                     time.monotonic() - started, generated)
                 )
     finally:
         for stored in stores.values():
@@ -288,12 +299,16 @@ def _run_query(
     limits,
     cancel_slots,
     qid: int,
-) -> tuple:
+) -> Tuple[tuple, bool]:
     """Compile (cached) and evaluate one shipped plan on one shard.
 
-    The plan cache is keyed per shard: with index routing on, two
-    shards of the same worker compile *different* physical plans from
-    the same shipped translation (each routed onto its own index set).
+    Returns ``(payload, generated)``: the canonical payload and whether
+    the plan ran as generated Python (``False``: it has no lowering and
+    was interpreted).  The plan cache is keyed per shard: with index
+    routing on, two shards of the same worker compile *different*
+    physical plans from the same shipped translation (each routed onto
+    its own index set), and each cached plan carries its own generated
+    code, emitted on first evaluation.
     """
     key = (
         shard,
@@ -317,8 +332,12 @@ def _run_query(
         variables=dict(variables or {}),
         namespaces=dict(namespaces or {}),
         governor=governor,
+        codegen="auto",
     )
-    return _canonical_payload(result)
+    return (
+        _canonical_payload(result),
+        compiled.codegen_state == "compiled",
+    )
 
 
 __all__ = [

@@ -53,6 +53,13 @@ class NodeKind(IntEnum):
     NAMESPACE = 6
 
 
+# The kinds ``Node.string_value`` tests per node, as module globals: an
+# attribute lookup on the enum class costs more than the test itself.
+_ROOT = NodeKind.ROOT
+_ELEMENT = NodeKind.ELEMENT
+_TEXT = NodeKind.TEXT
+
+
 class Node:
     """A single node of an XML document.
 
@@ -162,20 +169,26 @@ class Node:
     def string_value(self) -> str:
         """The XPath string-value of this node."""
         kind = self.kind
-        if kind in (NodeKind.TEXT, NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION):
-            return self.value or ""
-        if kind in (NodeKind.ATTRIBUTE, NodeKind.NAMESPACE):
+        if kind is not _ELEMENT and kind is not _ROOT:
+            # Text, comment, PI, attribute and namespace nodes.
             return self.value or ""
         # Root and element: concatenation of all descendant text nodes.
         # Access goes through the ``children`` property so that lazy
         # storage proxies load their structure on demand.
+        children = self.children
+        if len(children) == 1:
+            # A leaf element holding one text node (every DBLP field):
+            # skip the generic walk.
+            child = children[0]
+            if child.kind is _TEXT:
+                return child.value or ""
         parts: list[str] = []
-        stack = list(reversed(self.children))
+        stack = list(reversed(children))
         while stack:
             node = stack.pop()
-            if node.kind == NodeKind.TEXT:
+            if node.kind is _TEXT:
                 parts.append(node.value or "")
-            elif node.kind == NodeKind.ELEMENT:
+            elif node.kind is _ELEMENT:
                 stack.extend(reversed(node.children))
         return "".join(parts)
 

@@ -993,6 +993,13 @@ class XPathEngine:
         the typed governance error; a crashed or unresponsive worker
         raises :class:`~repro.errors.ShardFailedError`.  Returns the
         merged :class:`repro.collection.CollectionResult`.
+
+        Backend: the shard workers always run a per-shard plan as
+        generated Python when it lowers (interpreted otherwise), so a
+        per-call or engine ``codegen`` mode does not apply to a
+        collection target and is ignored; the collection's own
+        ``codegen_compiled`` / ``codegen_fallbacks`` counters report
+        which backend ran.
         """
         request = self._request(eval_options)
 

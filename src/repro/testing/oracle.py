@@ -55,11 +55,13 @@ Every query is executed through ten independent paths:
     the multi-process pipeline (plan shipping, worker-side back-end
     compilation, cross-process result records, global document-order
     merge) must be observationally identical to in-process serving,
-    shard for shard.  The leg runs with synopsis pruning enabled and,
-    on ungoverned runs, overlaps a second pruning-disabled submission
-    from another thread — concurrent in-flight queries on the one
-    pool — asserting both return identical canonical results (or the
-    same typed error),
+    shard for shard.  The workers run generated Python wherever a plan
+    lowers and the reference leg interprets, so the pair also checks
+    the two backends against each other.  The leg runs with synopsis
+    pruning enabled and, on ungoverned runs, overlaps a second
+    pruning-disabled submission from another thread — concurrent
+    in-flight queries on the one pool — asserting both return
+    identical canonical results (or the same typed error),
 ``server``
     the stored document served over loopback HTTP through the
     streaming front end (:mod:`repro.server`): each query is POSTed to

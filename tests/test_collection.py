@@ -11,7 +11,10 @@ cancelling sibling shards, concurrent scatter-gather (two queries
 provably overlap on the pool; a worker death fails *every* in-flight
 query exactly once), synopsis-driven shard pruning (selective queries
 ship to strictly fewer shards yet return canonically identical
-results — hypothesis property: pruned ≡ unpruned), and the
+results — hypothesis property: pruned ≡ unpruned), the workers'
+generated-Python backend (every lowerable task runs compiled and is
+counted; an unlowerable plan is interpreted and counted as a fallback;
+deadlines and cancels abort inside generated loops), and the
 collection-fingerprint isolation fix: two collections with
 byte-identical documents must never share compiled plans or coalesced
 results.
@@ -19,6 +22,7 @@ results.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -37,12 +41,14 @@ from repro.collection import (
 from repro.engine.governor import CancelToken
 from repro.errors import (
     CollectionError,
+    QueryCancelledError,
     QueryTimeoutError,
     ShardFailedError,
     UnboundVariableError,
     XPathSyntaxError,
 )
 from repro.storage import DocumentStore
+from repro.workloads.dblp import generate_dblp
 
 pytestmark = pytest.mark.multiprocess
 
@@ -97,6 +103,23 @@ def shard_engines(corpus_collection):
     yield engine, stores
     for stored in stores:
         stored.close()
+
+
+#: Quadratic in the shard size: every element scans its whole following
+#: axis.  Over ``long_collection`` it runs for many seconds unbounded.
+LONG_QUERY = "count(//*/following::*)"
+
+
+@pytest.fixture(scope="module")
+def long_collection(tmp_path_factory):
+    """Two DBLP shards big enough that ``LONG_QUERY`` cannot finish
+    within the governance tests' few-second bound."""
+    directory = tmp_path_factory.mktemp("long") / "dblp"
+    create_collection_from_document(
+        generate_dblp(1000, seed=3), directory, shards=2
+    )
+    with Collection(directory, workers=2) as collection:
+        yield collection
 
 
 def _crash_collection(tmp_path, shards=4, workers=2):
@@ -188,7 +211,10 @@ class TestMergeOrdering:
         self, corpus_collection, shard_engines, query
     ):
         """Scatter-gather result == in-process evaluation, shard for
-        shard (the same property the differential oracle enforces)."""
+        shard (the same property the differential oracle enforces).
+        The workers run generated Python; the in-process reference
+        engine interprets, so this also pits the two backends against
+        each other on every shard."""
         engine, stores = shard_engines
         result = corpus_collection.evaluate(query)
         from repro.testing.oracle import canonical_value
@@ -296,11 +322,164 @@ class TestGovernance:
             _assert_reconciled(collection.stats())
 
     def test_per_shard_tuple_budget(self, corpus_collection):
+        """The budget trips inside generated worker code: the plan
+        settles its tuple count with the governor as it finishes."""
         from repro.errors import QueryBudgetError
 
         with pytest.raises(QueryBudgetError):
             corpus_collection.evaluate("//*//*", max_tuples=3)
         _assert_reconciled(corpus_collection.stats())
+
+    def test_deadline_aborts_generated_worker_code(self, long_collection):
+        """A real quadratic query (not a test sleep) stops at the
+        collection deadline: the workers' generated loops flush to the
+        governor every 256 events, well before the parent's
+        unresponsive-worker failsafe would fire."""
+        started = time.monotonic()
+        with pytest.raises(QueryTimeoutError):
+            long_collection.evaluate(LONG_QUERY, timeout=0.5)
+        assert time.monotonic() - started < 5.0
+        _assert_reconciled(long_collection.stats())
+        assert sum(long_collection.evaluate("count(/dblp)").merged()) == 2
+
+    def test_cancel_token_aborts_generated_worker_code(
+        self, long_collection
+    ):
+        token = CancelToken()
+        timer = threading.Timer(0.5, token.cancel)
+        timer.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(QueryCancelledError):
+                long_collection.evaluate(LONG_QUERY, cancel=token)
+            assert time.monotonic() - started < 5.0
+        finally:
+            timer.cancel()
+        _assert_reconciled(long_collection.stats())
+        assert sum(long_collection.evaluate("count(/dblp)").merged()) == 2
+
+
+# ----------------------------------------------------------------------
+# Backend: shard workers run generated Python
+# ----------------------------------------------------------------------
+
+#: The ledger's ``collection_scatter`` queries.
+SCATTER_QUERIES = (
+    "count(//author)",
+    "/dblp/*/title",
+    "/dblp/article[year = '1991']/title",
+    "//needle",
+)
+
+
+@pytest.fixture(scope="module")
+def dblp_collection(tmp_path_factory):
+    """Four small DBLP shards; only shard 2 holds a ``<needle>``."""
+    from repro.collection import create_collection
+    from repro.dom.serializer import serialize
+
+    documents = split_document(generate_dblp(120, seed=0), 4)
+    xml = serialize(documents[2])
+    cut = xml.rindex("</dblp>")
+    documents[2] = parse_document(
+        xml[:cut] + '<needle id="n2"><v>hit</v></needle>' + xml[cut:]
+    )
+    directory = tmp_path_factory.mktemp("dblp") / "dblp"
+    create_collection(directory, documents)
+    with Collection(directory, workers=2) as collection:
+        yield collection
+
+
+def _patch_unlowerable(monkeypatch):
+    """Make the worker's back end graft a Γ the emitter cannot lower
+    onto every plan (as ``test_codegen.TestFallback`` does).  Emission
+    is lazy, so the already built iterator tree still evaluates the
+    original query."""
+    from repro.algebra import operators as ops
+    from repro.collection import worker
+
+    compile_shipped = worker.compile_shipped
+
+    def grafted(shipped, index_info=None):
+        compiled = compile_shipped(shipped, index_info=index_info)
+        translation = compiled.translation
+        translation.plan = ops.BinaryGroup(
+            translation.plan, ops.SingletonScan(), "g",
+            translation.result_attr, "=", translation.result_attr,
+            "count",
+        )
+        return compiled
+
+    monkeypatch.setattr(worker, "compile_shipped", grafted)
+
+
+class TestGeneratedBackend:
+    def test_scatter_queries_run_generated(self, dblp_collection):
+        """Every scattered task of the ledger's queries runs as
+        generated Python; pruned shards count neither way."""
+        engine = XPathEngine()
+        for query in SCATTER_QUERIES:
+            before = dblp_collection.stats()
+            engine.evaluate_collection(query, dblp_collection)
+            after = dblp_collection.stats()
+            scattered = (
+                after.submitted - before.submitted
+                - (after.shards_pruned - before.shards_pruned)
+            )
+            assert scattered == (1 if query == "//needle" else 4)
+            assert (after.codegen_compiled - before.codegen_compiled
+                    == scattered), query
+            assert after.codegen_fallbacks == before.codegen_fallbacks
+        payload = engine.stats().to_dict()["collection"]
+        assert payload["codegen_compiled"] == after.codegen_compiled
+        assert payload["codegen_fallbacks"] == 0
+        _assert_reconciled(after)
+
+    def test_unlowerable_plan_is_interpreted_in_the_worker(
+        self, dblp_collection, monkeypatch
+    ):
+        from repro.collection import ship_plan, worker
+        from repro.testing.oracle import canonical_value
+
+        _patch_unlowerable(monkeypatch)
+        query = "/dblp/*/title"
+        shipped = ship_plan(query)
+        plan_cache: dict = {}
+        with DocumentStore.open(
+            dblp_collection.catalog.shard_path(0), buffer_pages=32
+        ) as stored:
+            reference = canonical_value(
+                XPathEngine(index="off").evaluate(query, stored.root)
+            )
+            for _ in range(2):  # a plan-cache miss, then a hit
+                payload, generated = worker._run_query(
+                    stored, 0, "auto", plan_cache, shipped, None, None,
+                    (None, None, None, None), [-1], 1,
+                )
+                assert payload == reference
+                assert generated is False
+        (compiled,) = plan_cache.values()
+        assert compiled.codegen_state == "unsupported"
+        assert "BinaryGroup" in compiled.codegen_detail
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched back end only when forked",
+    )
+    def test_fallbacks_are_counted_per_shard_task(
+        self, tmp_path, monkeypatch
+    ):
+        _patch_unlowerable(monkeypatch)
+        directory = tmp_path / "fallback"
+        create_collection_from_document(
+            parse_document(CORPUS_XML), directory, shards=2
+        )
+        with Collection(directory, workers=1) as collection:
+            result = collection.evaluate("//name")
+            stats = collection.stats()
+        assert len(result.merged()) == 24
+        assert stats.codegen_fallbacks == 2
+        assert stats.codegen_compiled == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Unit tests for the node model: kinds, order, identity, string-values."""
 
+import os
+import random
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import parse_document
 from repro.dom.builder import build_element_tree
 from repro.dom.node import Node, NodeKind
+from repro.storage import DocumentStore
+from repro.testing import DocumentGenerator
 
 
 @pytest.fixture()
@@ -120,6 +127,56 @@ class TestStringValue:
     def test_comment_not_in_element_string_value(self):
         doc = parse_document("<a>x<!--hidden-->y</a>")
         assert doc.root.string_value() == "xy"
+
+    def test_single_text_child_without_value(self):
+        doc = parse_document("<a>x</a>")
+        doc.root.children[0].children[0].value = None
+        assert doc.root.string_value() == ""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), blank=st.integers(0, 4))
+    def test_matches_generic_walk(self, seed, blank):
+        """Every node's string-value — in memory and stored — equals the
+        spec's concatenation of descendant text, whichever path
+        ``string_value`` takes (mixed content, comments/PIs, empty
+        elements, and text nodes whose value is ``None``)."""
+        rng = random.Random(seed)
+        document = DocumentGenerator(rng).generate()
+        texts = [
+            node for node in _all_nodes(document.root)
+            if node.kind is NodeKind.TEXT
+        ]
+        for node in rng.sample(texts, min(blank, len(texts))):
+            node.value = rng.choice((None, ""))
+        for node in _all_nodes(document.root):
+            assert node.string_value() == _generic_string_value(node)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "doc.natix")
+            DocumentStore.write(document, path)
+            with DocumentStore.open(path, buffer_pages=8) as stored:
+                for node in _all_nodes(stored.root):
+                    assert node.string_value() == _generic_string_value(
+                        node
+                    )
+
+
+def _all_nodes(node):
+    """The node, its attributes and its subtree, in document order."""
+    yield node
+    yield from node.attributes
+    for child in node.children:
+        yield from _all_nodes(child)
+
+
+def _generic_string_value(node):
+    """XPath 1.0 §5 string-value, straight from the definition."""
+    if node.kind not in (NodeKind.ROOT, NodeKind.ELEMENT):
+        return node.value or ""
+    return "".join(
+        descendant.value or ""
+        for descendant in node.iter_descendants()
+        if descendant.kind is NodeKind.TEXT
+    )
 
 
 class TestNavigation:

@@ -447,7 +447,13 @@ class TestCollectionTarget:
             for r in reference
         ]
         assert stats["server"]["targets"] == {"coll": "collection"}
-        assert stats["engine"]["collection"]["shard_count"] == 3
+        collection_stats = stats["engine"]["collection"]
+        assert collection_stats["shard_count"] == 3
+        # Every shard task behind both answers ran as generated Python.
+        assert collection_stats["codegen_compiled"] == (
+            collection_stats["completed"]
+        )
+        assert collection_stats["codegen_fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------
