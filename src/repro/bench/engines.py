@@ -5,12 +5,6 @@ interpreters (Xalan-C, xsltproc).  Here:
 
 * ``natix``            — improved translation, NVM subscripts (the paper's engine),
 * ``natix-canonical``  — section-3 canonical translation (ablation),
-* ``natix-session``    — improved translation through an
-  :class:`~repro.engine.session.XPathEngine` plan cache (whole-query
-  reuse; measures the compile-amortization win),
-* ``natix-concurrent`` — the session engine's thread-pool path
-  (``evaluate_concurrent``); single-query batches here, the full
-  closed-loop scaling story lives in ``benchmarks/bench_concurrency.py``,
 * ``naive``            — dedup-free main-memory interpreter (the
   xsltproc/Xalan stand-in; see DESIGN.md substitution notes),
 * ``memo``             — Gottlob-style memoizing interpreter.
@@ -32,7 +26,6 @@ from repro.baselines.naive import NaiveInterpreter
 from repro.compiler.improved import TranslationOptions
 from repro.compiler.pipeline import XPathCompiler
 from repro.dom.node import Node
-from repro.engine.session import XPathEngine
 from repro.xpath.context import make_context
 
 StatsColumns = Dict[str, object]
@@ -88,64 +81,6 @@ def _compiled_engine(options: TranslationOptions, label: str):
     return prepare
 
 
-def _session_engine(options: TranslationOptions, label: str):
-    engine = XPathEngine(options)
-
-    def prepare(query: str) -> QueryRunner:
-        def run(context_node: Node) -> int:
-            return engine.count(query, context_node)
-
-        def columns() -> StatsColumns:
-            stats = engine.stats()
-            extra: StatsColumns = {
-                "cache_hits": stats.cache.hits,
-                "cache_misses": stats.cache.misses,
-                "cache_evictions": stats.cache.evictions,
-                "operator_count": len(stats.operators),
-                "operator_next_calls": sum(
-                    o.next_calls for o in stats.operators
-                ),
-                "operator_tuples": sum(
-                    o.tuples_out for o in stats.operators
-                ),
-            }
-            return extra
-
-        return QueryRunner(run, label, columns)
-
-    return prepare
-
-
-def _concurrent_engine(options: TranslationOptions, label: str,
-                       workers: int = 4):
-    engine = XPathEngine(options)
-
-    def prepare(query: str) -> QueryRunner:
-        def run(context_node: Node) -> int:
-            results = engine.evaluate_concurrent(
-                [query], context_node, max_workers=workers
-            )
-            result = results[0]
-            return len(result) if isinstance(result, list) else 1
-
-        def columns() -> StatsColumns:
-            stats = engine.stats()
-            return {
-                "cache_hits": stats.cache.hits,
-                "cache_misses": stats.cache.misses,
-                "cache_evictions": stats.cache.evictions,
-                "cache_shards": stats.cache.shard_count,
-                "workers": workers,
-                "concurrent_batches": stats.runtime_counters.get(
-                    "concurrent_batches", 0
-                ),
-            }
-
-        return QueryRunner(run, label, columns)
-
-    return prepare
-
-
 def _interpreter_engine(factory, label: str):
     def prepare(query: str) -> QueryRunner:
         interpreter = factory()
@@ -161,17 +96,8 @@ def _interpreter_engine(factory, label: str):
 
 ENGINE_REGISTRY: Dict[str, Callable[[str], QueryRunner]] = {
     "natix": _compiled_engine(TranslationOptions.improved(), "natix"),
-    "natix-opt": _compiled_engine(
-        TranslationOptions.improved(optimize=True), "natix-opt"
-    ),
     "natix-canonical": _compiled_engine(
         TranslationOptions.canonical(), "natix-canonical"
-    ),
-    "natix-session": _session_engine(
-        TranslationOptions.improved(), "natix-session"
-    ),
-    "natix-concurrent": _concurrent_engine(
-        TranslationOptions.improved(), "natix-concurrent"
     ),
     "naive": _interpreter_engine(NaiveInterpreter, "naive"),
     "memo": _interpreter_engine(MemoInterpreter, "memo"),

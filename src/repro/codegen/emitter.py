@@ -875,7 +875,15 @@ def generate_python(translation, options=None,
         emitter.register(plan)
         main = _Fn("__plan__", emitter, params="ctx")
         result = emitter.local(translation.result_attr)
-        emitter.emit(plan, main, lambda f: f.w(f"yield {result}"))
+        # GeneratedPlan.execute closes a scalar plan at its first yield,
+        # so the settle below never runs there: charge before yielding.
+        settle = (
+            ("_ev, _tu = _flush(_tu)",) if translation.kind == "scalar"
+            else ()
+        )
+        emitter.emit(
+            plan, main, lambda f: f.wmany((*settle, f"yield {result}"))
+        )
         # Settle the amortized governance counters: a plan that ran to
         # completion below the flush threshold still charges its tuples
         # (an early-exited generator skips this, like a closed iterator).

@@ -1,9 +1,11 @@
 """A minimal blocking client for the serving front end.
 
 Built on stdlib :mod:`http.client` — the same dependency budget as the
-server.  Used by the test suite, the differential oracle's ``server``
-route and ``benchmarks/bench_server.py``; it doubles as executable
-documentation of the frame protocol for clients in other languages.
+server.  Used by the test suite and the differential oracle's
+``server`` route (the performance ledger's ``serve_point`` and
+``serve_stream`` workloads time the server with their own raw client);
+it doubles as executable documentation of the frame protocol for
+clients in other languages.
 
 :meth:`ServerClient.query` POSTs one request and decodes the NDJSON
 frame stream *incrementally* (page by page off the chunked body, never

@@ -632,8 +632,15 @@ class DifferentialRunner:
 
     def outcomes(self, query: str) -> Dict[str, Outcome]:
         """Outcome of every configured route for one query."""
+        return self._route_outcomes(query)
+
+    def _route_outcomes(
+        self, query: str, skip: Sequence[str] = ()
+    ) -> Dict[str, Outcome]:
         results: Dict[str, Outcome] = {}
         for route in self.routes:
+            if route in skip:
+                continue
             if route == COLLECTION_ROUTE:
                 (
                     results[COLLECTION_ROUTE],
@@ -667,29 +674,10 @@ class DifferentialRunner:
         propagates the first exception, losing per-query attribution).
         """
         divergences: List[Divergence] = []
-        per_query: List[Dict[str, Outcome]] = []
-        for query in queries:
-            outcomes = {}
-            for route in self.routes:
-                if route == "concurrent":
-                    continue
-                if route == COLLECTION_ROUTE:
-                    (
-                        outcomes[COLLECTION_ROUTE],
-                        outcomes[COLLECTION_REF_ROUTE],
-                    ) = self._collection_pair(query)
-                    continue
-                if route == SERVER_ROUTE:
-                    outcomes[route] = _outcome_of_canonical(
-                        lambda: self._run_server_canonical(query)
-                    )
-                    continue
-                runner = self._route_runner(route)
-                outcomes[route] = outcome_of(lambda: runner(query))
-            for route in self.extra_routes:
-                runner = self._route_runner(route)
-                outcomes[route] = outcome_of(lambda: runner(query))
-            per_query.append(outcomes)
+        per_query = [
+            self._route_outcomes(query, skip=("concurrent",))
+            for query in queries
+        ]
 
         if "concurrent" in self.routes:
             clean = [

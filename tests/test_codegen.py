@@ -11,6 +11,7 @@ store, and both vs the in-memory answer.
 
 import random
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,7 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
 )
+from repro.testing.corpus import load_corpus_file
 from repro.testing.documents import DocumentGenerator, build_document
 from repro.testing.grammar import (
     DEFAULT_NAMESPACES,
@@ -48,6 +50,12 @@ from repro.testing.oracle import outcome_of
 from .conftest import SAMPLE_XML, normalize_result
 
 DOC = parse_document(SAMPLE_XML)
+
+#: The paper's Figure 6-10 queries; every one must have a generated
+#: backend (an interpreted fallback would hide a lowering regression).
+PAPER_FIGURES = load_corpus_file(
+    Path(__file__).parent / "corpus" / "paper_figures.json"
+)
 
 #: Queries spanning the fused operator repertoire: axis chains,
 #: predicates (positional, existential, nested), aggregates, set
@@ -151,6 +159,15 @@ class TestLifecycle:
         engine = XPathEngine()  # off by default
         engine.evaluate("//b", DOC, EvalOptions(codegen="force"))
         assert engine.stats().runtime_counters["codegen_compiled"] == 1
+
+    @pytest.mark.parametrize(
+        "entry", PAPER_FIGURES, ids=[entry.name for entry in PAPER_FIGURES]
+    )
+    def test_every_paper_figure_query_lowers(self, entry):
+        compiled = _compile(entry.query)
+        assert compiled.ensure_generated() is not None, (
+            compiled.codegen_detail
+        )
 
 
 #: Elements named ``item`` at several depths, as attribute owners, and
@@ -488,6 +505,26 @@ class TestGovernance:
         engine = XPathEngine(codegen="force")
         with pytest.raises(QueryBudgetError):
             engine.evaluate("//*//*", DOC, EvalOptions(max_tuples=2))
+
+    @pytest.mark.parametrize("surface", ["evaluate", "evaluate_many"])
+    @pytest.mark.parametrize("codegen", ["off", "auto"])
+    @pytest.mark.parametrize(
+        "query", ["count(/a/b)", "sum(/a/b)", "string(/a/b[last()])"]
+    )
+    def test_scalar_plan_charges_tuples_below_flush_threshold(
+        self, query, codegen, surface
+    ):
+        # A generated scalar plan is closed at its first yield, so its
+        # tuples must be settled before it: well under the 256-event
+        # flush threshold, both backends trip the same budget.
+        document = parse_document("<a>" + "<b/>" * 20 + "</a>")
+        engine = XPathEngine()
+        options = EvalOptions(max_tuples=5, codegen=codegen)
+        with pytest.raises(QueryBudgetError):
+            if surface == "evaluate":
+                engine.evaluate(query, document, options)
+            else:
+                engine.evaluate_many([query], document, options)
 
     def test_byte_budget_aborts_materialization(self):
         engine = XPathEngine(codegen="force")

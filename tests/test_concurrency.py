@@ -222,6 +222,33 @@ class TestSharedPlanRegression:
         # Exactly one compile; both threads hit the same cached plan.
         assert engine.stats().compile_count == 1
 
+    def test_warm_cache_compiles_nothing_under_concurrent_clients(self):
+        engine = XPathEngine()
+        for query in WORKLOAD:
+            engine.evaluate(query, DOC)
+        engine.reset_stats()
+        barrier = threading.Barrier(4, timeout=30)
+        answers = []
+
+        def client():
+            # Lockstep, so every query has concurrent askers.
+            for query in WORKLOAD:
+                barrier.wait()
+                answers.append((query, engine.evaluate(query, DOC)))
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(answers) == 4 * len(WORKLOAD)
+        wrong = [(q, a) for q, a in answers if a != WORKLOAD[q]]
+        assert not wrong, wrong[:5]
+        stats = engine.stats()
+        assert stats.compile_count == 0
+        assert stats.cache.misses == 0
+
     def test_threads_get_distinct_plan_instances(self):
         engine = XPathEngine(coalesce=False)
         compiled = engine.compile("count(//b)")

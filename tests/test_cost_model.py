@@ -5,7 +5,8 @@ per-entry distribution, so exact path cardinalities are checkable
 against a hand-built synopsis; without a synopsis it falls back to the
 model's default fanouts.  The cost optimizer mode is checked against
 the heuristic gates through a fake ``DocumentIndexes`` stub, and the
-session layer's estimation-error counters through a real store.
+session layer's estimation-error counters and the page reads of both
+modes through a real store.
 """
 
 import math
@@ -38,6 +39,7 @@ from repro.index.synopsis import (
     PathSynopsis,
     SynopsisEntry,
 )
+from repro.workloads import generate_document
 from repro.xpath.axes import Axis, NodeTestKind
 
 # A hand-built DataGuide:
@@ -359,3 +361,45 @@ class TestSessionCounters:
     def test_eval_options_optimizer_validated(self):
         with pytest.raises(ValueError):
             EvalOptions(optimizer="greedy")
+
+
+class TestPlanQuality:
+    """On a real indexed store the cost mode never reads more pages than
+    the heuristic gates, and strictly fewer where a globally rare name
+    is absent or clustered at the navigated level."""
+
+    SHOWCASE = ("/xdoc/entry", "/xdoc/section/entry", "//item")
+    BUFFER_PAGES = 4096
+
+    @pytest.fixture(scope="class")
+    def store_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("plan-quality") / "gen.natix"
+        store_document(generate_document(4000, 6, 5), path)
+        return path
+
+    def _cold_run(self, optimizer, query, path):
+        """(sorted result keys, data + index page misses) on a fresh
+        open, with the plan compiled against the store beforehand."""
+        engine = XPathEngine(
+            TranslationOptions.improved(), index="auto", optimizer=optimizer
+        )
+        with open_store(path, buffer_pages=self.BUFFER_PAGES) as stored:
+            engine.compile(query, target=stored)
+        with open_store(path, buffer_pages=self.BUFFER_PAGES) as stored:
+            result = engine.evaluate(query, stored)
+            by_kind = stored.buffer_stats()["by_kind"]
+        pages = by_kind["data"]["misses"] + by_kind.get(
+            "index", {}
+        ).get("misses", 0)
+        return sorted(node.sort_key for node in result), pages
+
+    def test_cost_reads_no_more_pages_than_heuristic(self, store_path):
+        strict_wins = []
+        for query in self.SHOWCASE:
+            heuristic = self._cold_run("heuristic", query, store_path)
+            cost = self._cold_run("cost", query, store_path)
+            assert cost[0] == heuristic[0], query
+            assert cost[1] <= heuristic[1], (query, cost[1], heuristic[1])
+            if cost[1] < heuristic[1]:
+                strict_wins.append(query)
+        assert strict_wins
