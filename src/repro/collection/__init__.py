@@ -27,11 +27,8 @@ from repro.collection.collection import (
 )
 from repro.collection.plans import ShippedPlan, compile_shipped, ship_plan
 from repro.collection.pool import WorkerPool
-from repro.collection.pruning import extract_prune_paths, shard_admits
 
 __all__ = [
-    "extract_prune_paths",
-    "shard_admits",
     "Collection",
     "CollectionCatalog",
     "CollectionResult",

@@ -60,11 +60,11 @@ class ShardInfo:
 
     ``synopsis`` mirrors the shard store's DataGuide path synopsis into
     the parent catalog (when the store carries fresh indexes), which is
-    what lets the collection layer answer "can this shard match at
-    all?" at scatter time without opening any shard file — see
-    :mod:`repro.collection.pruning`.  It is identity-neutral: two
-    catalogs differing only in mirrored synopses compare equal and
-    fingerprint identically.
+    what lets the collection layer prove a query's result empty on this
+    shard without opening any shard file — see
+    :attr:`repro.compiler.cost.PlanEstimates.empty`.  It is
+    identity-neutral: two catalogs differing only in mirrored synopses
+    compare equal and fingerprint identically.
     """
 
     shard: int

@@ -8,11 +8,11 @@ queries:
 1. **Ship** — the query is front-end compiled once (phases 1–5) and the
    pickled translation cached under ``(query, options, namespaces,
    index mode, optimizer)``; see :mod:`repro.collection.plans`.
-2. **Prune + scatter** — before anything ships, each shard's mirrored
-   path synopsis is asked whether the query's leading structural steps
-   can match at all (:mod:`repro.collection.pruning`); a refuted shard
-   is *pruned* — the parent synthesizes its provably-empty node-set
-   slice without scattering.  The admitted shards each get one task,
+2. **Prune + scatter** — when a query is first shipped, the cost
+   estimator walks its translation over each shard's mirrored path
+   synopsis (:attr:`PlanEstimates.empty`); a shard where the result is
+   provably the empty node-set is *pruned* — the parent synthesizes
+   that slice without scattering.  The admitted shards each get one task,
    carrying the shipped plan and the per-shard governance limits
    derived from the collection deadline.  Scatters are **not**
    serialized: any number of queries may be in flight on the pool at
@@ -60,7 +60,6 @@ from repro.collection.pool import (
     ShardOutcome,
     WorkerPool,
 )
-from repro.collection.pruning import shard_admits
 from repro.compiler.improved import TranslationOptions
 from repro.engine.options import INDEX_MODES, OPTIMIZER_MODES
 from repro.errors import (
@@ -230,8 +229,8 @@ class Collection:
     overlapping in flight (duplicate concurrent requests are still
     coalesced by :meth:`XPathEngine.evaluate_collection` above this
     layer).  ``pruning`` (default on) lets the scatter skip shards
-    whose mirrored path synopsis refutes the query's leading structural
-    steps; pruned shards contribute provably-empty node-set slices and
+    whose mirrored path synopsis proves the query's node-set result
+    empty; pruned shards contribute provably-empty node-set slices and
     are counted in :class:`CollectionStats` — results are bit-identical
     with pruning on or off.
 
@@ -269,6 +268,11 @@ class Collection:
         self.optimizer = optimizer
         self.options = options or TranslationOptions()
         self.pruning = bool(pruning)
+        self._synopses = {
+            info.shard: info.synopsis
+            for info in self.catalog.shards
+            if info.synopsis is not None
+        }
         self.pool = WorkerPool(
             self.catalog,
             workers,
@@ -332,6 +336,7 @@ class Collection:
             options,
             index_mode=self.index_mode,
             optimizer=self.optimizer,
+            synopses=self._synopses,
         )
         with self._lock:
             if len(self._shipped) >= SHIPPED_CACHE_LIMIT:
@@ -385,11 +390,7 @@ class Collection:
         pruned: List[int] = []
         tasks: Dict[int, tuple] = {}
         for info in self.catalog.shards:
-            if (prune
-                    and shipped.result_kind == "sequence"
-                    and shipped.prune_paths is not None
-                    and not shard_admits(info.synopsis,
-                                         shipped.prune_paths)):
+            if prune and info.shard in shipped.empty_shards:
                 pruned.append(info.shard)
                 continue
             tasks[info.shard] = (

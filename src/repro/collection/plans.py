@@ -24,11 +24,11 @@ plans hold live iterators and register files and are never shipped.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import FrozenSet, Mapping, Optional
 
 from repro.algebra import operators as ops
-from repro.collection.pruning import PrunePaths, extract_prune_paths
+from repro.compiler.cost import PlanEstimator
 from repro.compiler.improved import TranslationOptions
 from repro.compiler.normalize import normalize
 from repro.compiler.pipeline import (
@@ -39,6 +39,7 @@ from repro.compiler.pipeline import (
 from repro.compiler.rewrite import fold_constants
 from repro.compiler.semantic import analyze
 from repro.compiler.translate import TranslationResult, Translator
+from repro.index.synopsis import PathSynopsis
 from repro.xpath.parser import parse_xpath
 
 
@@ -49,19 +50,16 @@ class ShippedPlan:
     ``blob`` pickles ``(query, TranslationOptions, TranslationResult)``;
     ``index_mode`` / ``optimizer`` ride alongside because they are
     compile *inputs* the worker's back end needs, not part of the
-    translation itself.  ``result_kind`` and ``prune_paths`` are
-    parent-side scatter metadata: the collection layer may skip shards
-    whose synopsis refutes every prune path, but only for node-set
-    (``"sequence"``) results, where the skipped shard's slice is
-    provably the empty node-set.
+    translation itself.  ``empty_shards`` is parent-side scatter
+    metadata: the shards on whose synopsis the translation provably
+    returns the empty node-set, which the collection layer may skip.
     """
 
     query: str
     blob: bytes
     index_mode: str
     optimizer: str
-    result_kind: str = "sequence"
-    prune_paths: Optional[PrunePaths] = field(default=None)
+    empty_shards: FrozenSet[int] = frozenset()
 
 
 def translate_front_end(
@@ -98,23 +96,31 @@ def ship_plan(
     *,
     index_mode: str = "auto",
     optimizer: str = "heuristic",
+    synopses: Optional[Mapping[int, PathSynopsis]] = None,
 ) -> ShippedPlan:
-    """Front-end compile ``query`` and pack it for the pool (parent side)."""
+    """Front-end compile ``query`` and pack it for the pool (parent side).
+
+    ``synopses`` maps shard ids to their path synopses; the estimator
+    walks the translation once over each to find the shards where a
+    node-set result is provably empty.  Scalar results are never
+    empty: an aggregate needs every shard's contribution.
+    """
     options = options or TranslationOptions()
     translation = translate_front_end(query, options)
     blob = pickle.dumps(
         (query, options, translation), protocol=pickle.HIGHEST_PROTOCOL
     )
-    # The prune signature comes from a fresh parse: normalization
-    # mutates the translated AST, and the signature must mirror the
-    # query as written.
-    prune_paths = None
+    empty_shards: FrozenSet[int] = frozenset()
     if translation.kind == "sequence":
-        prune_paths = extract_prune_paths(parse_xpath(query))
+        empty_shards = frozenset(
+            shard for shard, synopsis in (synopses or {}).items()
+            if PlanEstimator(synopsis).estimate(
+                translation.plan, at_root=True
+            ).empty
+        )
     return ShippedPlan(
         query=query, blob=blob, index_mode=index_mode,
-        optimizer=optimizer, result_kind=translation.kind,
-        prune_paths=prune_paths,
+        optimizer=optimizer, empty_shards=empty_shards,
     )
 
 

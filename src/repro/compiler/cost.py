@@ -12,11 +12,16 @@ numbers: a node attribute's estimate says "36 nodes, all on the
 — a child step maps each frontier entry to its child entries, a
 descendant step to the entries below it — so a query like
 ``/xdoc/entry`` is correctly estimated at zero even though the document
-holds 216 ``entry`` elements on a deeper path.  This is exactly the
-frontier walk :meth:`PathSynopsis.path_count` performs, generalized to
-fractional counts and every axis.  Without a synopsis (no store, or
-stale indexes) the estimator falls back to conservative per-axis
-fanouts, so estimates always exist.
+holds 216 ``entry`` elements on a deeper path.  Without a synopsis (no
+store, or stale indexes) the estimator falls back to conservative
+per-axis fanouts, so estimates always exist.
+
+The same walk answers one question exactly: can the plan return
+anything but the empty node-set on a document with this synopsis?  A
+distribution whose entries are *complete* (its whole support) and
+empty proves the stream empty; :attr:`PlanEstimates.empty` reports it
+for the plan's result, and collection shard pruning
+(``docs/collection.md``) reads nothing else.
 
 Costs separate **data pages**, **index pages** (mirroring the buffer
 manager's ``kind`` split) and **CPU** (per-``next()`` plus per-node
@@ -37,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
+from repro.compiler.translate import TOP_CONTEXT_ATTR
 from repro.index.synopsis import (
     KIND_ATTRIBUTE,
     KIND_ELEMENT,
@@ -49,6 +55,20 @@ from repro.xpath.axes import Axis, NodeTestKind
 #: tuples whose node lies on that path (absolute, summed over the whole
 #: stream; ``ROOT_ENTRY`` stands for the document root node).
 EntryCounts = Dict[int, float]
+
+#: Axes on which a ``node()`` test also reaches text, comment and PI
+#: nodes — leaves the synopsis has no entries for.
+_LEAF_AXES = (
+    Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
+    Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING,
+)
+
+#: Axes whose result from such a leaf is known: a leaf has no children,
+#: descendants or attributes, and only ``node()`` selects it as itself.
+_LEAF_KNOWN_AXES = (
+    Axis.CHILD, Axis.DESCENDANT, Axis.ATTRIBUTE, Axis.SELF,
+    Axis.DESCENDANT_OR_SELF,
+)
 
 
 @dataclass(frozen=True)
@@ -148,10 +168,21 @@ class Dist:
 
     ``rows`` is the expected number of tuples; ``entries`` (when known)
     distributes them over synopsis entries and sums to ``rows``.
+    ``complete`` says the entries are the stream's whole support: every
+    node lies on one of their paths or — when ``leaves`` is set — is a
+    text, comment or PI node, which has no entry.  Unknown entries
+    (``None``) are never complete.
     """
 
     rows: float
     entries: Optional[EntryCounts] = None
+    complete: bool = False
+    leaves: bool = False
+
+    @property
+    def empty(self) -> bool:
+        """Provably no node on a document with this synopsis."""
+        return self.complete and self.entries == {} and not self.leaves
 
     def scaled(self, factor: float) -> "Dist":
         if factor == 1.0:
@@ -161,7 +192,7 @@ class Dist:
             if self.entries is not None
             else None
         )
-        return Dist(self.rows * factor, entries)
+        return Dist(self.rows * factor, entries, self.complete, self.leaves)
 
 
 @dataclass
@@ -186,6 +217,10 @@ class PlanEstimates:
     subtree: Dict[int, Cost] = field(default_factory=dict)
     root_rows: float = 0.0
     total: Cost = ZERO_COST
+    #: The plan provably returns the empty node-set on every document
+    #: with the estimator's synopsis.  Never set for a plan that reads a
+    #: variable: evaluating it on a non-empty stream may raise instead.
+    empty: bool = False
 
     def rows_of(self, op: ops.Operator) -> Optional[float]:
         estimate = self.by_op.get(id(op))
@@ -208,11 +243,23 @@ class PlanEstimator:
     # public API
     # ------------------------------------------------------------------
 
-    def estimate(self, plan: ops.Operator) -> PlanEstimates:
+    def estimate(self, plan: ops.Operator,
+                 at_root: bool = False) -> PlanEstimates:
+        """Estimate ``plan``; ``at_root`` binds its free context node to
+        the document root (a collection shard's context), so relative
+        paths walk the synopsis as well."""
         estimates = PlanEstimates()
-        rows, _env = self._visit(plan, {}, estimates)
+        env: Dict[str, Dist] = {}
+        if at_root:
+            env[TOP_CONTEXT_ATTR] = Dist(1.0, {ROOT_ENTRY: 1.0}, complete=True)
+        rows, out_env = self._visit(plan, env, estimates)
         estimates.root_rows = rows
         estimates.total = estimates.subtree.get(id(plan), ZERO_COST)
+        result = out_env.get(plan.result_attr)
+        estimates.empty = (
+            result is not None and result.empty
+            and not _reads_variables(plan)
+        )
         return estimates
 
     def navigation_cost(self, in_dist: Dist, axis: Axis,
@@ -327,7 +374,7 @@ class PlanEstimator:
         dist: Optional[Dist] = None
         expr = op.expr
         if isinstance(expr, S.SRoot):
-            dist = Dist(rows, {ROOT_ENTRY: rows})
+            dist = Dist(rows, {ROOT_ENTRY: rows}, complete=True)
         elif isinstance(expr, S.SAttr):
             known = out_env.get(expr.name)
             if known is not None:
@@ -420,7 +467,9 @@ class PlanEstimator:
             }
             out_rows = min(rows, sum(capped.values()))
             out_env = dict(out_env)
-            out_env[op.attr] = Dist(out_rows, capped)
+            out_env[op.attr] = Dist(
+                out_rows, capped, dist.complete, dist.leaves
+            )
         elif rows > 0 and out_rows < rows:
             factor = out_rows / rows
             out_env = {a: d.scaled(factor) for a, d in out_env.items()}
@@ -456,7 +505,8 @@ class PlanEstimator:
     def _visit_Concat(self, op, env, estimates):
         total = 0.0
         merged: EntryCounts = {}
-        entries_known = True
+        entries_known = complete = True
+        leaves = False
         for branch in op.inputs:
             rows, branch_env = self._visit(branch, env, estimates)
             total += rows
@@ -464,11 +514,15 @@ class PlanEstimator:
             if dist is not None and dist.entries is not None:
                 for entry, count in dist.entries.items():
                     merged[entry] = merged.get(entry, 0.0) + count
+                complete = complete and dist.complete
+                leaves = leaves or dist.leaves
             else:
                 entries_known = False
         out_env = dict(env)
-        out_env[op.result_attr] = Dist(
-            total, merged if entries_known and merged else None
+        out_env[op.result_attr] = (
+            Dist(total, merged, complete, leaves)
+            if entries_known and (merged or complete)
+            else Dist(total, None)
         )
         return total, out_env, Cost(cpu=total * self.model.cpu_next)
 
@@ -533,17 +587,28 @@ class PlanEstimator:
         test (the whole subtree for descendant axes, all children for
         the child axis) — the basis of the navigation cost.
         """
+        if in_dist.empty:
+            # Nothing in, nothing out — whatever the axis or test.
+            return Dist(0.0, {}, complete=True), 0.0
         synopsis = self.synopsis
-        if synopsis is None or in_dist.entries is None:
-            return self._default_step(in_dist, axis, test_kind, test_name)
-        if test_kind in (NodeTestKind.COMMENT, NodeTestKind.PI):
-            # The synopsis records no comment/PI paths.
+        if (synopsis is None or in_dist.entries is None
+                or test_kind in (NodeTestKind.COMMENT, NodeTestKind.PI)
+                or (test_kind == NodeTestKind.NAME
+                    and ":" in (test_name or ""))):
+            # The synopsis records no comment/PI paths, and a prefixed
+            # name matches by namespace URI, which it does not record.
             return self._default_step(in_dist, axis, test_kind, test_name)
 
         model = self.model
         out: EntryCounts = {}
         visited = 0.0
         default_rows = 0.0  # contributions with no entry attribution
+        complete = in_dist.complete and (
+            not in_dist.leaves or axis in _LEAF_KNOWN_AXES
+        )
+        leaves = test_kind == NodeTestKind.NODE and (
+            axis in _LEAF_AXES or (axis == Axis.SELF and in_dist.leaves)
+        )
 
         def emit(entry: int, count: float) -> None:
             if count > 0:
@@ -650,6 +715,7 @@ class PlanEstimator:
                 )
                 visited += partial_visited
                 default_rows += partial.rows
+                complete = False
 
         rows = sum(out.values()) + default_rows
         if test_kind == NodeTestKind.NODE and axis in (
@@ -665,7 +731,7 @@ class PlanEstimator:
         if default_rows:
             return Dist(rows, None), visited
         entries = {e: c for e, c in out.items() if c > 0}
-        return Dist(rows, entries), visited
+        return Dist(rows, entries, complete, leaves), visited
 
     def _default_step(self, in_dist: Dist, axis: Axis,
                       test_kind: NodeTestKind,
@@ -720,6 +786,20 @@ class PlanEstimator:
             return True
         # text()/comment()/pi() never match element or attribute entries.
         return False
+
+
+def _reads_variables(plan: ops.Operator) -> bool:
+    """Whether any operator of ``plan``, nested plans included, reads a
+    ``$variable`` (an unbound or mistyped one raises at run time)."""
+    return any(
+        isinstance(op, ops.VarScan)
+        or any(
+            isinstance(node, S.SVar)
+            for subscript in op.subscripts()
+            for node in S.iter_scalar_tree(subscript)
+        )
+        for op in ops.plan_operators(plan)
+    )
 
 
 # ----------------------------------------------------------------------

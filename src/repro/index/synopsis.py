@@ -14,7 +14,7 @@ not prune (see ``docs/indexes.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Synopsis entry kinds.
 KIND_ELEMENT = 0
@@ -92,97 +92,6 @@ class PathSynopsis:
             return 1.0
         return self.element_count(name) / self.total_elements
 
-    def frontier_entries(
-        self, steps: Sequence[Tuple[str, str]]
-    ) -> Tuple[int, ...]:
-        """Entry indices reachable by a structural step sequence.
-
-        ``steps`` is a sequence of ``(op, name)`` pairs starting at the
-        document root, where ``op`` is one of ``"child"``, ``"desc"``
-        (proper descendants), ``"descself"``, ``"self"`` or ``"attr"``
-        and ``name`` is a literal QName or ``"*"`` (any name of the
-        step's kind).  This is the frontier walk behind collection
-        shard pruning: an empty frontier proves no document node can
-        match the steps, so a query whose leading location steps they
-        mirror returns the empty node-set on this document.
-
-        The walk is exact over element and attribute structure (the
-        DataGuide covers every root-to-node label path); ops the
-        synopsis cannot answer must simply not be passed in — the
-        extraction layer truncates at the first such step, which keeps
-        the emptiness test a *necessary* condition.
-        """
-        frontier: Set[int] = {ROOT_ENTRY}
-        for op, name in steps:
-            matched: Set[int] = set()
-            if op in ("desc", "descself"):
-                if op == "descself":
-                    for index in frontier:
-                        if index == ROOT_ENTRY:
-                            if name == "*":
-                                matched.add(index)
-                        else:
-                            entry = self.entries[index]
-                            if entry.kind == KIND_ELEMENT and (
-                                name == "*" or entry.name == name
-                            ):
-                                matched.add(index)
-                            elif name == "*":
-                                # node() self keeps every frontier node.
-                                matched.add(index)
-                stack: List[int] = [
-                    child
-                    for parent in frontier
-                    for child in self.children_of(parent)
-                ]
-                seen: Set[int] = set()
-                while stack:
-                    index = stack.pop()
-                    if index in seen:
-                        continue
-                    seen.add(index)
-                    entry = self.entries[index]
-                    if entry.kind != KIND_ELEMENT:
-                        continue
-                    if name == "*" or entry.name == name:
-                        matched.add(index)
-                    stack.extend(self.children_of(index))
-            elif op == "child":
-                for parent in frontier:
-                    for child in self.children_of(parent):
-                        entry = self.entries[child]
-                        if entry.kind == KIND_ELEMENT and (
-                            name == "*" or entry.name == name
-                        ):
-                            matched.add(child)
-            elif op == "attr":
-                for parent in frontier:
-                    for child in self.children_of(parent):
-                        entry = self.entries[child]
-                        if entry.kind == KIND_ATTRIBUTE and (
-                            name == "*" or entry.name == name
-                        ):
-                            matched.add(child)
-            elif op == "self":
-                for index in frontier:
-                    if index == ROOT_ENTRY:
-                        continue  # the document root is not an element
-                    entry = self.entries[index]
-                    if entry.kind == KIND_ELEMENT and (
-                        name == "*" or entry.name == name
-                    ):
-                        matched.add(index)
-            else:
-                raise ValueError(f"unknown frontier op {op!r}")
-            frontier = matched
-            if not frontier:
-                return ()
-        return tuple(sorted(frontier))
-
-    def admits(self, steps: Sequence[Tuple[str, str]]) -> bool:
-        """Whether the structural step sequence can match any node."""
-        return bool(self.frontier_entries(steps))
-
     def to_rows(self) -> List[List[object]]:
         """Compact JSON-safe rendering: one ``[parent, kind, name,
         count]`` row per entry, in entry order (the collection catalog
@@ -202,35 +111,6 @@ class PathSynopsis:
             )
             for row in rows
         )
-
-    def path_count(self, labels: Sequence[str]) -> int:
-        """Nodes reachable by the exact label path from the root.
-
-        ``labels`` name the steps below the document root (so
-        ``("xdoc", "section")`` counts ``/xdoc/section`` nodes); an
-        attribute step is spelled ``@name`` and may only come last.
-        """
-        if not labels:
-            return 0
-        frontier = {-1}
-        counts: Dict[int, int] = {}
-        for label in labels:
-            wanted_kind = KIND_ELEMENT
-            wanted_name = label
-            if label.startswith("@"):
-                wanted_kind = KIND_ATTRIBUTE
-                wanted_name = label[1:]
-            counts = {
-                index: entry.count
-                for index, entry in enumerate(self.entries)
-                if entry.parent in frontier
-                and entry.kind == wanted_kind
-                and entry.name == wanted_name
-            }
-            frontier = set(counts)
-            if not frontier:
-                return 0
-        return sum(counts.values())
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -41,6 +41,7 @@ from repro.collection import (
 from repro.engine.governor import CancelToken
 from repro.errors import (
     CollectionError,
+    ExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
     ShardFailedError,
@@ -601,8 +602,8 @@ class TestConcurrentQueries:
 
 #: Queries whose pruned and unpruned evaluations must agree exactly.
 #: Mixes selective paths, absent paths, wildcards, attributes,
-#: predicates, scalars and necessity-truncating steps (reverse axes,
-#: node-type tests) over the skewed corpus below.
+#: predicates, scalars, reverse axes and node-type tests (whose text
+#: leaves the synopsis does not record) over the skewed corpus below.
 PRUNE_QUERIES = (
     "//needle",
     "//needle/inner",
@@ -620,6 +621,10 @@ PRUNE_QUERIES = (
     "count(//needle)",
     "string(//needle)",
     "//needle | //leaf",
+    "//leaf/parent::needle",
+    "//leaf/../needle",
+    "/doc/common/leaf/node()",
+    "//needle/following::leaf",
 )
 
 
@@ -689,6 +694,45 @@ class TestPruning:
         )
         assert pruned == 0
         assert sum(result.merged()) == 2.0
+
+    @pytest.mark.parametrize(
+        "query", ["//leaf/parent::needle", "//leaf/../needle"]
+    )
+    def test_reverse_axis_steps_prune(self, skewed_collection, query):
+        """No shard has a ``leaf`` below a ``needle``: the walk goes
+        past the reverse step and refutes every shard."""
+        result, pruned = _pruned_delta(skewed_collection, query)
+        assert pruned == skewed_collection.shard_count
+        assert result.merged() == []
+
+    def test_text_leaves_are_never_refuted(self, skewed_collection):
+        """``node()`` reaches text children, which have no synopsis
+        entry: every shard ships and answers its text node."""
+        result, pruned = _pruned_delta(
+            skewed_collection, "/doc/common/leaf/node()"
+        )
+        assert pruned == 0
+        assert len(result.merged()) == skewed_collection.shard_count
+
+    @pytest.mark.parametrize(
+        "query,variables,error",
+        [
+            ("//common[$missing]/needle", None, UnboundVariableError),
+            ("//common[$v/x]/needle", {"v": 1.0}, ExecutionError),
+        ],
+    )
+    def test_variable_errors_survive_pruning(
+        self, skewed_collection, query, variables, error
+    ):
+        """The predicate runs on shards that have ``common``, so the
+        unpruned query raises; a plan reading a variable is therefore
+        never refuted, and the pruned query raises the same way."""
+        for pruning in (True, False):
+            with pytest.raises(error):
+                skewed_collection.evaluate(
+                    query, variables=variables, pruning=pruning
+                )
+        _assert_reconciled(skewed_collection.stats())
 
     def test_pruning_disabled_ships_everywhere(self, skewed_collection):
         _, pruned = _pruned_delta(

@@ -6,10 +6,14 @@ against a hand-built synopsis; without a synopsis it falls back to the
 model's default fanouts.  The cost optimizer mode is checked against
 the heuristic gates through a fake ``DocumentIndexes`` stub, and the
 session layer's estimation-error counters and the page reads of both
-modes through a real store.
+modes through a real store.  The walk's provable-emptiness answer (what
+collection shard pruning reads) is checked against hand-picked
+counterexamples and, as a hypothesis property, against the naive
+interpreter on generated documents and queries.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +28,8 @@ from repro import (
     open_store,
 )
 from repro.algebra import operators as ops
+from repro.baselines.naive import NaiveInterpreter
+from repro.collection.plans import translate_front_end
 from repro.compiler.cost import (
     DEFAULT_MODEL,
     Dist,
@@ -32,6 +38,8 @@ from repro.compiler.cost import (
     summarize_plan,
 )
 from repro.compiler.optimize import optimize_plan
+from repro.errors import ReproError
+from repro.index.build import build_index_data
 from repro.index.synopsis import (
     KIND_ATTRIBUTE,
     KIND_ELEMENT,
@@ -39,8 +47,11 @@ from repro.index.synopsis import (
     PathSynopsis,
     SynopsisEntry,
 )
+from repro.testing.documents import DocumentGenerator
+from repro.testing.grammar import GrammarConfig, QueryGenerator
 from repro.workloads import generate_document
 from repro.xpath.axes import Axis, NodeTestKind
+from repro.xpath.context import make_context
 
 # A hand-built DataGuide:
 #   /xdoc                    1
@@ -97,6 +108,13 @@ class TestSynopsisCardinalities:
         assert estimate_rows("//item", empty) == estimate_rows(
             "//item", None
         )
+
+    def test_aliased_prefixed_name_is_not_estimated_empty(self):
+        # q and p may name one URI: a prefixed test cannot be matched
+        # against the QName text the synopsis records.
+        document = parse_document('<r xmlns:p="urn:u"><p:x/></r>')
+        synopsis = build_index_data(document).synopsis
+        assert estimate_rows("/r/q:x", synopsis) > 0.0
 
 
 class TestDefaultFallbacks:
@@ -403,3 +421,124 @@ class TestPlanQuality:
             if cost[1] < heuristic[1]:
                 strict_wins.append(query)
         assert strict_wins
+
+
+# ----------------------------------------------------------------------
+# Provable emptiness (what collection shard pruning reads)
+# ----------------------------------------------------------------------
+
+NAIVE = NaiveInterpreter()
+FUZZ_URI = "urn:repro:fuzz"
+
+
+def walk_empty(query, document):
+    """The estimator's answer at the document root of ``document``."""
+    plan = translate_front_end(query).plan
+    synopsis = build_index_data(document).synopsis
+    return PlanEstimator(synopsis).estimate(plan, at_root=True).empty
+
+
+def naive_nodes(query, document, namespaces=None):
+    return NAIVE.evaluate(
+        query, make_context(document.root, None, namespaces)
+    )
+
+
+SKEWED_XML = (
+    "<doc><common n='1'><leaf>v</leaf></common>"
+    "<needle id='n'><inner>x</inner></needle></doc>"
+)
+
+
+class TestProvableEmptiness:
+    @pytest.mark.parametrize(
+        "xml,query",
+        [
+            # Text children have no synopsis entry.
+            (SKEWED_XML, "/doc/common/leaf/node()"),
+            (SKEWED_XML, "/doc/needle/inner/text()"),
+            # q and p bound to one URI.
+            ('<r xmlns:p="urn:u"><p:x/></r>', "/r/q:x"),
+            # Comments and PIs have no synopsis entry either.
+            ("<doc><!--c--></doc>", "/doc/comment()"),
+            ("<doc><!--c--></doc>", "/doc/node()"),
+            ("<doc><?t d?></doc>", "/doc/processing-instruction()"),
+            ("<doc><?t d?></doc>", "//processing-instruction('t')"),
+            ("<doc><x/></doc>", "//x/.."),
+            # No tree locality the DataGuide can follow.
+            ("<doc><a/><b/></doc>", "/doc/a/following::b"),
+            ('<doc xmlns:p="urn:u"/>', "/doc/namespace::*"),
+            # A text sibling, and steps back up from text leaves.
+            ("<doc><a/>t</doc>", "/doc/a/following-sibling::node()"),
+            (SKEWED_XML, "//leaf/node()/.."),
+            (SKEWED_XML, "//leaf/node()/self::node()"),
+            (SKEWED_XML, "//inner//node()/ancestor::needle"),
+        ],
+    )
+    def test_not_provably_empty(self, xml, query):
+        document = parse_document(xml)
+        namespaces = {"p": "urn:u", "q": "urn:u"}
+        assert len(naive_nodes(query, document, namespaces)) > 0
+        assert not walk_empty(query, document)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//nosuch",
+            "//nosuch | /doc/absent",
+            "//absent/text()",
+            "//absent/following::y",
+            "//leaf/parent::needle",
+            "//leaf/../needle",
+            "//leaf/node()/leaf",
+            "//common[needle]/needle",
+            "needle/common",
+            "self::doc",
+            "..",
+        ],
+    )
+    def test_provably_empty(self, query):
+        document = parse_document(SKEWED_XML)
+        assert len(naive_nodes(query, document)) == 0
+        assert walk_empty(query, document)
+
+    @pytest.mark.parametrize(
+        "query", ["//common[$missing]/absent", "$v/absent"],
+    )
+    def test_plans_reading_variables_are_never_empty(self, query):
+        # Evaluated on a non-empty stream, the variable may raise.
+        assert not walk_empty(query, parse_document(SKEWED_XML))
+
+    def test_no_synopsis_proves_nothing(self):
+        plan = translate_front_end("//nosuch").plan
+        assert not PlanEstimator(None).estimate(plan, at_root=True).empty
+
+
+class TestEmptinessSoundness:
+    """Whenever the walk refutes a generated query, the naive
+    interpreter returns the empty node-set on that document."""
+
+    GRAMMAR = GrammarConfig(
+        namespaces={"p": FUZZ_URI, "q": FUZZ_URI},
+        prefixed_test_probability=0.3,
+    )
+
+    @pytest.mark.hypothesis
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_refuted_queries_are_empty(self, seed):
+        rng = random.Random(seed)
+        document = DocumentGenerator(rng).generate()
+        estimator = PlanEstimator(build_index_data(document).synopsis)
+        context = make_context(
+            document.root, self.GRAMMAR.variables, self.GRAMMAR.namespaces
+        )
+        for query in QueryGenerator(rng, self.GRAMMAR).queries(25):
+            try:
+                translation = translate_front_end(query)
+            except ReproError:
+                continue
+            if translation.kind != "sequence":
+                continue
+            if estimator.estimate(translation.plan, at_root=True).empty:
+                assert NAIVE.evaluate(query, context) == [], query

@@ -351,7 +351,9 @@ class TestCollectionPruningOracle:
     def test_typed_errors_agree_between_pruned_and_unpruned(self):
         document = parse_xml(self.DOC_XML)
         with DifferentialRunner(document) as runner:
-            for query in ("$nope", "//needle[@id = $missing]"):
+            for query in (
+                "$nope", "//needle[@id = $missing]", "//a[$nope]/needle",
+            ):
                 assert not runner.check(query), query
 
     def test_governed_runs_still_agree(self):
