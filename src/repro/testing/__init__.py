@@ -8,11 +8,11 @@ the reproduction keeps that claim honest at scale.  It provides
 * :class:`~repro.testing.documents.DocumentGenerator` — random XML
   documents (mixed content, comments, PIs, namespaces),
 * :class:`~repro.testing.oracle.DifferentialRunner` — executes each
-  query through nine independent routes (naive interpreter, canonical
-  translation, improved translation, stored page-buffer backend,
-  index-forced stored backend, concurrent thread-pool evaluation,
-  codegen-compiled evaluation, cost-optimized stored backend) and
-  reports any disagreement,
+  query through the rows of one route table
+  (:data:`~repro.testing.oracle.ROUTES`: the naive interpreter, both
+  translations, the stored, indexed, cost-optimized and generated-code
+  backends, thread-pool, collection and server evaluation) and reports
+  any row disagreeing with its reference,
 * :mod:`~repro.testing.shrink` — a delta-debugging shrinker minimizing
   both the query AST and the document of a finding,
 * :mod:`~repro.testing.corpus` — the persistent regression corpus under

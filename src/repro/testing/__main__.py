@@ -27,18 +27,21 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.testing.corpus import DEFAULT_CORPUS_DIR, load_corpus
+from repro.testing.corpus import (
+    DEFAULT_CORPUS_DIR,
+    CorpusReplay,
+    load_corpus,
+)
 from repro.testing.fuzzer import run_campaign
 from repro.testing.grammar import GrammarConfig, QueryGenerator
-from repro.testing.oracle import ROUTE_NAMES, DifferentialRunner
+from repro.testing.oracle import ROUTE_NAMES
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing",
         description=(
-            "Grammar-directed XPath fuzzer with a ten-way "
-            "differential oracle"
+            "Grammar-directed XPath fuzzer with a differential oracle"
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -153,38 +156,19 @@ def _cmd_fuzz(arguments) -> int:
 
 
 def _cmd_replay(arguments) -> int:
-    from repro.testing.corpus import document_cache_key
-
     entries = list(load_corpus(Path(arguments.corpus_dir)))
     if not entries:
         print(f"no corpus entries under {arguments.corpus_dir}")
         return 1
     failures = 0
-    runners = {}
-    try:
+    with CorpusReplay() as replay:
         for path, entry in entries:
-            key = (
-                document_cache_key(entry.document),
-                tuple(sorted(entry.variables.items())),
-                tuple(sorted(entry.namespaces.items())),
-            )
-            runner = runners.get(key)
-            if runner is None:
-                runner = DifferentialRunner(
-                    entry.build_document(),
-                    variables=entry.variables,
-                    namespaces=entry.namespaces,
-                )
-                runners[key] = runner
-            divergences = runner.check(entry.query)
+            divergences = replay.check(entry)
             if divergences:
                 failures += 1
                 print(f"FAIL {path.name}::{entry.name}")
                 for divergence in divergences:
                     print("  " + divergence.describe().replace("\n", "\n  "))
-    finally:
-        for runner in runners.values():
-            runner.close()
     print(
         f"replayed {len(entries)} corpus entries from "
         f"{arguments.corpus_dir}: {failures} failure(s)"

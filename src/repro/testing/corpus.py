@@ -2,9 +2,10 @@
 
 Every divergence the fuzzer ever found — plus the paper's benchmark
 queries and the hand-written conformance workloads — lives in
-``tests/corpus/*.json`` and is replayed through the full nine-way
-differential oracle by ``tests/test_corpus_regressions.py`` forever
-after.
+``tests/corpus/*.json`` and is replayed through every route of the
+differential oracle (:class:`CorpusReplay`, driven by
+``tests/test_corpus_regressions.py`` and ``python -m repro.testing
+replay``) forever after.
 
 A corpus file is a JSON object::
 
@@ -39,6 +40,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.dom.document import Document
 from repro.dom.parser import parse as parse_xml
+from repro.testing.oracle import DifferentialRunner, Divergence
 
 #: Default corpus location, relative to the repository root.
 DEFAULT_CORPUS_DIR = Path("tests") / "corpus"
@@ -117,6 +119,46 @@ def build_document(spec: Mapping[str, object]) -> Document:
 def document_cache_key(spec: Mapping[str, object]) -> Tuple:
     """Hashable identity of a document spec (for runner reuse)."""
     return tuple(sorted((k, str(v)) for k, v in spec.items()))
+
+
+class CorpusReplay:
+    """Checks corpus entries through the differential oracle.
+
+    One :class:`~repro.testing.oracle.DifferentialRunner` is kept per
+    distinct ``(document, variables, namespaces)``, so each corpus
+    document is written to a page file and sharded once, not once per
+    entry.  Use as a context manager or call :meth:`close`.
+    """
+
+    def __init__(self):
+        self._runners: Dict[Tuple, DifferentialRunner] = {}
+
+    def check(self, entry: CorpusEntry) -> List[Divergence]:
+        """The entry's divergences (empty when every route agrees)."""
+        key = (
+            document_cache_key(entry.document),
+            tuple(sorted(entry.variables.items())),
+            tuple(sorted(entry.namespaces.items())),
+        )
+        runner = self._runners.get(key)
+        if runner is None:
+            runner = self._runners[key] = DifferentialRunner(
+                entry.build_document(),
+                variables=entry.variables,
+                namespaces=entry.namespaces,
+            )
+        return runner.check(entry.query)
+
+    def close(self) -> None:
+        for runner in self._runners.values():
+            runner.close()
+        self._runners.clear()
+
+    def __enter__(self) -> "CorpusReplay":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ from the campaign banner alone.
 
 The campaign loop works document-by-document: generate a random
 document, stand up a :class:`~repro.testing.oracle.DifferentialRunner`
-(which writes the page file for the stored/indexed routes once),
-generate a batch of queries, run the batch through all ten routes
-(``routes`` narrows the set), and compare.  On a
-divergence the delta-debugging shrinker minimizes the ``(query,
-document)`` pair, and the minimized reproducer can be appended to the
-regression corpus.
+(which opens the targets its rows need once), generate a batch of
+queries, run the batch through every route (``routes`` narrows the
+set), and compare.  On a divergence the delta-debugging shrinker
+minimizes the ``(query, document)`` pair, checking each candidate on
+the baseline, the diverging route and its reference only, and the
+minimized reproducer can be appended to the regression corpus.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro.compiler.improved import TranslationOptions
+from repro.compiler.pipeline import XPathCompiler
 from repro.dom.serializer import serialize
 from repro.errors import ReproError
 from repro.xpath.parser import parse_xpath
@@ -144,7 +146,7 @@ def run_campaign(
     does not turn the report into a firehose (the cap is noted by the
     CLI when hit).  ``routes`` selects a subset of
     :data:`~repro.testing.oracle.ROUTE_NAMES` (the baseline is always
-    included); the default runs all ten.  ``governance`` (``timeout`` /
+    included); the default runs them all.  ``governance`` (``timeout`` /
     ``max_tuples`` / ``max_bytes``) runs the algebraic routes under a
     :class:`~repro.engine.governor.ResourceGovernor`: a governed route
     must agree with the ungoverned baseline or abort with exactly a
@@ -160,6 +162,7 @@ def run_campaign(
         governance=dict(governance) if governance else None,
     )
     say = progress or (lambda message: None)
+    compiler = XPathCompiler(TranslationOptions.improved())
 
     remaining = n
     while remaining > 0 and len(report.findings) < max_findings:
@@ -187,6 +190,7 @@ def run_campaign(
             asts.append(ast)
         for ast in asts:
             report.coverage.record_query(ast)
+        _record_plan_coverage(compiler, queries, report.coverage)
 
         with DifferentialRunner(
             document,
@@ -195,15 +199,19 @@ def run_campaign(
             routes=route_names,
             governance=governance,
         ) as runner:
-            _record_plan_coverage(runner, queries, report.coverage)
-            divergences = runner.check_batch(queries)
-            report.queries_run += len(queries)
-
-        value_like, error_like = _tally_baseline(
-            document, grammar_config, queries
+            batch = runner.batch_outcomes(queries)
+            divergences = [
+                divergence
+                for query, outcomes in zip(queries, batch)
+                for divergence in runner.compare(query, outcomes)
+            ]
+        report.queries_run += len(queries)
+        # A baseline crash counts as an error (and is also a finding).
+        values = sum(
+            outcomes[BASELINE_ROUTE].kind == "value" for outcomes in batch
         )
-        report.value_outcomes += value_like
-        report.error_outcomes += error_like
+        report.value_outcomes += values
+        report.error_outcomes += len(queries) - values
 
         for divergence in divergences:
             if len(report.findings) >= max_findings:
@@ -246,43 +254,13 @@ def _resolve_routes(routes: Optional[Sequence[str]]) -> Tuple[str, ...]:
     return tuple(name for name in ROUTE_NAMES if name in requested)
 
 
-def _tally_baseline(document, grammar_config, queries) -> tuple:
-    """Count value vs error outcomes on the baseline interpreter only."""
-    from repro.baselines.naive import NaiveInterpreter
-    from repro.xpath.context import make_context
-
-    naive = NaiveInterpreter()
-    values = errors = 0
-    for query in queries:
-        try:
-            naive.evaluate(
-                query,
-                make_context(
-                    document.root,
-                    grammar_config.variables,
-                    grammar_config.namespaces,
-                ),
-            )
-            values += 1
-        except ReproError:
-            errors += 1
-        except Exception:  # noqa: BLE001 - crashes counted as findings
-            errors += 1
-    return values, errors
-
-
 def _record_plan_coverage(
-    runner: DifferentialRunner, queries: List[str], tracker: CoverageTracker
+    compiler: XPathCompiler, queries: List[str], tracker: CoverageTracker
 ) -> None:
     """Record which algebra operators the improved translation used."""
     for query in queries:
         try:
-            compiled = runner._engine.compile(query)
-        except ReproError:
-            continue
-        except Exception:  # noqa: BLE001 - compile crash shows up in run
-            continue
-        try:
+            compiled = compiler.compile(query)
             tracker.record_plan(compiled.logical_plan)
         except Exception:  # noqa: BLE001 - coverage must never kill a run
             continue
@@ -300,6 +278,7 @@ def _shrink_finding(
         query_ast = parse_xpath(divergence.query)
     except ReproError:
         return
+    routes = (BASELINE_ROUTE, divergence.route, divergence.baseline_route)
 
     def still_diverges(candidate_ast, candidate_spec) -> bool:
         try:
@@ -312,6 +291,7 @@ def _shrink_finding(
             candidate_doc,
             variables=grammar_config.variables,
             namespaces=grammar_config.namespaces,
+            routes=routes,
             governance=governance,
         ) as runner:
             return bool(runner.check(candidate_query))

@@ -1,79 +1,28 @@
-"""The differential oracle: ten execution routes, one answer.
+"""The differential oracle: one route table, one answer.
 
-Every query is executed through ten independent paths:
+Every query is executed through the rows of :data:`ROUTES`, and every
+row must agree with its ``reference`` row.  A row names what it
+evaluates against (the in-memory document, its page-file build, a
+sharded collection of it, a loopback server over it, or the naive
+spec interpreter), the engine configuration it evaluates with (a
+:class:`~repro.compiler.improved.TranslationOptions` preset plus the
+``index``/``codegen``/``optimizer`` modes of an
+:class:`~repro.engine.session.XPathEngine`), and its sink (one
+``evaluate`` per query, or a real ``evaluate_concurrent`` batch).
+Adding or deleting a backend is adding or deleting a row; see
+``docs/testing.md`` for what each row exercises.
 
-``naive``
-    the main-memory :class:`~repro.baselines.naive.NaiveInterpreter`
-    (independent spec-oracle semantics, no algebra involved),
-``canonical``
-    the section-3 canonical algebraic translation,
-``improved``
-    the section-4/5 improved translation through an
-    :class:`~repro.engine.session.XPathEngine` (plan cache included),
-``stored``
-    the improved translation over the *stored* document — page file,
-    buffer manager, record decoding — via
-    :class:`~repro.storage.DocumentStore` with index routing pinned
-    off,
-``indexed``
-    the same stored document through an engine with ``index="force"``
-    (interpreted): every eligible name step is rewritten onto the
-    structural indexes (:mod:`repro.index`) regardless of selectivity,
-    so the posting-list route is differentially checked against plain
-    navigation — this is the reference leg for the iterator engine's
-    adaptive index scans (:mod:`repro.engine.index_scans`),
-``concurrent``
-    the improved translation through
-    :meth:`XPathEngine.evaluate_concurrent` (thread pool, shared plans,
-    singleflight coalescing),
-``compiled``
-    the improved translation through an engine with ``codegen="auto"``:
-    plans that the :mod:`repro.codegen` backend supports run as
-    generated Python (fused loops, inlined node tests), everything else
-    falls back to the interpreter — so the code generator is
-    differentially checked against all interpreted routes,
-``cost``
-    the stored document through an engine with ``index="auto"``,
-    ``optimizer="cost"`` and ``codegen="auto"`` — the composed fast
-    path a serving deployment would configure: the synopsis-fed cost
-    model of :mod:`repro.compiler.cost` decides index routing and memo
-    placement instead of the hard-coded selectivity gates, and the
-    chosen plan, index scans included, runs as generated Python — the
-    cost optimizer may pick different physical plans (page and
-    ``next()`` counts change) and the backend differs from every other
-    stored leg, but neither may ever change answers,
-``collection``
-    the document split into per-subtree shards
-    (:func:`repro.collection.split_document`), written as a sharded
-    collection and served through the multi-process scatter-gather
-    pool (:class:`repro.collection.Collection` via
-    :meth:`XPathEngine.evaluate_collection`).  Sharding changes the
-    data, so this route is *not* compared against the whole-document
-    baseline; its reference leg (``collection_ref``) evaluates the
-    very same shard stores in-process through the single-document
-    stored route and merges per-shard canonical results identically —
-    the multi-process pipeline (plan shipping, worker-side back-end
-    compilation, cross-process result records, global document-order
-    merge) must be observationally identical to in-process serving,
-    shard for shard.  The workers run generated Python wherever a plan
-    lowers and the reference leg interprets, so the pair also checks
-    the two backends against each other.  The leg runs with synopsis
-    pruning enabled and, on ungoverned runs, overlaps a second
-    pruning-disabled submission from another thread — concurrent
-    in-flight queries on the one pool — asserting both return
-    identical canonical results (or the same typed error),
-``server``
-    the stored document served over loopback HTTP through the
-    streaming front end (:mod:`repro.server`): each query is POSTed to
-    a thread-hosted :class:`~repro.server.XPathServer` with a tiny
-    page size (so every non-trivial node-set crosses the wire as
-    several chunked page frames), the client reassembles the pages and
-    canonicalizes them — the whole serialization round trip (NDJSON
-    frames, canonical node records, typed error frames) must agree
-    with the in-process baseline.  Stored node ids are preorder ranks,
-    so the wire-side sort keys line up with the in-memory document's,
-    and error frames carry the engine's exception type name, so
-    error-outcome agreement works transparently.
+The reference of nearly every row is the ``naive`` baseline (the
+main-memory :class:`~repro.baselines.naive.NaiveInterpreter`:
+independent spec-oracle semantics, no algebra involved).  The
+exception is ``collection``: sharding changes the data, so the
+scatter-gather leg is compared against ``collection_ref``, the very
+same shard stores evaluated in-process and merged identically.  The
+workers run generated Python wherever a plan lowers and the reference
+interprets, so the pair also checks the two backends against each
+other.  On ungoverned runs the scatter overlaps a second,
+pruning-disabled submission of the same query from another thread, and
+the two must agree.
 
 Results are compared in a document-independent canonical form: node-sets
 become document-order tuples of ``(sort_key, kind, name, string_value)``
@@ -98,49 +47,24 @@ from repro.api import EvalOptions
 from repro.baselines.naive import NaiveInterpreter
 from repro.collection import Collection, create_collection_from_document
 from repro.compiler.improved import TranslationOptions
-from repro.compiler.pipeline import XPathCompiler
 from repro.dom.document import Document
-from repro.engine.governor import ResourceGovernor
 from repro.engine.session import XPathEngine
 from repro.errors import ReproError
 from repro.storage import DocumentStore
 from repro.xpath.context import make_context
 from repro.xpath.datamodel import XPathValue
 
-#: All route names, in reporting order.  ``naive`` is the baseline.
-ROUTE_NAMES: Tuple[str, ...] = (
-    "naive",
-    "canonical",
-    "improved",
-    "stored",
-    "indexed",
-    "concurrent",
-    "compiled",
-    "cost",
-    "collection",
-    "server",
-)
+BASELINE_ROUTE = "naive"
 
-#: Routes that need the document written to a page file.
-_STORE_ROUTES = ("stored", "indexed", "cost", "server")
-
-#: The loopback HTTP route, and the page size its requests pin (small,
-#: so ordinary fuzz node-sets stream as several page frames).
-SERVER_ROUTE = "server"
+#: The page size the server row's requests pin (small, so ordinary fuzz
+#: node-sets stream as several page frames).
 SERVER_PAGE_SIZE = 7
 
-#: The scatter-gather route; compared against its in-process reference
-#: leg (``collection_ref``), never against the whole-document baseline.
-COLLECTION_ROUTE = "collection"
-COLLECTION_REF_ROUTE = "collection_ref"
-
-#: Shards the collection route splits each fuzz document into, and
+#: Shards the collection rows split each fuzz document into, and
 #: worker processes serving them (workers < shards on purpose: one
 #: process owning several shards is the harder multiplexing case).
 COLLECTION_SHARDS = 3
 COLLECTION_WORKERS = 2
-
-BASELINE_ROUTE = "naive"
 
 #: Exception type names a *governed* route may legitimately raise while
 #: the ungoverned baseline succeeds: aborting on a limit is correct
@@ -148,6 +72,71 @@ BASELINE_ROUTE = "naive"
 GOVERNANCE_ERROR_NAMES = frozenset(
     {"QueryTimeoutError", "QueryBudgetError", "QueryCancelledError"}
 )
+
+#: The governance limits a runner accepts.
+_LIMITS = ("timeout", "max_tuples", "max_bytes")
+
+
+@dataclass(frozen=True)
+class Route:
+    """One row of the route table.
+
+    ``target`` is what the row evaluates against: ``naive`` (the spec
+    interpreter on the in-memory document, never governed), ``memory``
+    (an engine on the in-memory document), ``store`` (an engine on its
+    page-file build), ``collection`` (an engine scattering over its
+    sharded build through the worker pool), ``shards`` (an engine on
+    each shard store in-process), ``server`` (loopback HTTP to a server
+    over the page file, evaluating with the server's own default
+    engine) or ``callable`` (``run(query, context_node)`` on the
+    in-memory document).  Engine targets build
+    ``XPathEngine(translation(), index=, codegen=, optimizer=)``.
+    ``sink`` is ``value`` (one ``evaluate`` per query) or ``batch``
+    (``evaluate_concurrent``; :meth:`DifferentialRunner.check_batch`
+    runs a whole batch through the thread pool).  ``reference`` names
+    the row this one must agree with; a row without one is checked for
+    crashes only.
+    """
+
+    name: str
+    target: str
+    translation: Callable[[], TranslationOptions] = (
+        TranslationOptions.improved
+    )
+    index: str = "auto"
+    codegen: str = "off"
+    optimizer: str = "heuristic"
+    sink: str = "value"
+    reference: Optional[str] = BASELINE_ROUTE
+    run: Optional[Callable[[str, object], XPathValue]] = None
+
+
+#: The selectable rows, in reporting order.
+ROUTES: Tuple[Route, ...] = (
+    Route("naive", "naive", reference=None),
+    Route("canonical", "memory", translation=TranslationOptions.canonical),
+    Route("improved", "memory"),
+    Route("stored", "store", index="off"),
+    Route("indexed", "store", index="force"),
+    Route("concurrent", "memory", sink="batch"),
+    Route("compiled", "memory", codegen="auto"),
+    Route("cost", "store", codegen="auto", optimizer="cost"),
+    Route("collection", "collection", index="off",
+          reference="collection_ref"),
+    Route("server", "server"),
+)
+
+#: Rows that exist only as another row's reference: built whenever a
+#: selected row names them, never selected on their own.
+REFERENCE_ROUTES: Tuple[Route, ...] = (
+    Route("collection_ref", "shards", index="off", reference=None),
+)
+
+#: All selectable route names, in reporting order.
+ROUTE_NAMES: Tuple[str, ...] = tuple(route.name for route in ROUTES)
+
+#: Targets evaluated through an engine built from the row.
+_ENGINE_TARGETS = frozenset({"memory", "store", "collection", "shards"})
 
 
 @dataclass(frozen=True)
@@ -203,8 +192,7 @@ def outcome_of(run: Callable[[], XPathValue]) -> Outcome:
 
 
 def _outcome_of_canonical(run: Callable[[], object]) -> Outcome:
-    """Like :func:`outcome_of` for runs returning pre-canonical values
-    (the collection legs canonicalize per shard themselves)."""
+    """Like :func:`outcome_of` for runs returning canonical values."""
     try:
         return Outcome("value", run())
     except ReproError as error:
@@ -213,15 +201,36 @@ def _outcome_of_canonical(run: Callable[[], object]) -> Outcome:
         return Outcome("crash", type(error).__name__, str(error))
 
 
+def _governance_abort(outcome: Outcome) -> bool:
+    return outcome.kind == "error" and (
+        outcome.payload in GOVERNANCE_ERROR_NAMES
+    )
+
+
+def _limits(governance: Optional[object]) -> Dict[str, object]:
+    """The resource limits of a ``governance`` argument, validated."""
+    if governance is None:
+        return {}
+    if isinstance(governance, EvalOptions):
+        if governance.cancel is not None:
+            raise ValueError(
+                "cancel tokens are not supported as differential "
+                "governance; use timeout/max_tuples/max_bytes"
+            )
+        return {
+            key: getattr(governance, key)
+            for key in _LIMITS
+            if getattr(governance, key) is not None
+        }
+    unknown = set(governance) - set(_LIMITS)
+    if unknown:
+        raise ValueError(f"unknown governance key(s) {sorted(unknown)}")
+    return dict(governance)
+
+
 @dataclass
 class Divergence:
-    """One route disagreeing with its reference on one query.
-
-    The reference is the naive baseline for every route except
-    ``collection``, which is compared against its in-process
-    ``collection_ref`` leg (sharding changes the data, so the
-    whole-document baseline is not comparable).
-    """
+    """One route disagreeing with its reference on one query."""
 
     query: str
     route: str
@@ -238,31 +247,30 @@ class Divergence:
 
 
 class DifferentialRunner:
-    """Executes queries on one document across all ten routes.
+    """Executes queries on one document across the selected rows.
 
-    The stored and indexed routes share one page file (indexes are
-    built at write time), written once in a private temporary directory
-    unless ``store_dir`` is given, and kept open for the runner's
-    lifetime — use as a context manager or call :meth:`close`.  The
-    stored route pins ``index="off"`` and the indexed route pins
-    ``index="force"``, so the two legs exercise disjoint physical
-    plans over identical pages.
+    ``routes`` selects rows of :data:`ROUTES` by name; the reference
+    row of every selected row is built too, so the naive baseline
+    always is.  Only the targets the built rows need are opened: the
+    page file (shared by every ``store`` row and the server) and the
+    sharded collection are written once in a private temporary
+    directory unless ``store_dir`` is given, and kept open for the
+    runner's lifetime — use as a context manager or call :meth:`close`.
 
     ``extra_routes`` maps extra route names to callables
     ``run(query, context_node) -> XPathValue`` evaluated against the
-    in-memory document; the shrinker tests use this to inject synthetic
-    divergences.
+    in-memory document and compared against the baseline; the shrinker
+    tests use this to inject synthetic divergences.
 
     ``governance`` (a mapping with any of ``timeout``, ``max_tuples``,
     ``max_bytes``, or an :class:`~repro.api.EvalOptions` carrying those
-    limits) runs every *algebraic* route under a fresh
-    :class:`~repro.engine.governor.ResourceGovernor` per query while the
-    naive baseline stays ungoverned.  The comparison contract then
-    becomes: a governed route must either agree with the baseline
-    exactly, or abort with exactly a governance error
-    (:data:`GOVERNANCE_ERROR_NAMES`) — any other exception, and any
-    wrong *value*, is still a divergence.  This is the fuzzing mode that
-    proves the governor never changes answers, only truncates work.
+    limits) runs every *algebraic* row under those limits, with a fresh
+    governor per query, while the naive baseline stays ungoverned.  The
+    comparison contract then becomes: a row must either agree with its
+    reference exactly, or one side must abort with exactly a governance
+    error (:data:`GOVERNANCE_ERROR_NAMES`) — any other exception, and
+    any wrong *value*, is still a divergence.  This is the fuzzing mode
+    that proves the governor never changes answers, only truncates work.
     """
 
     def __init__(
@@ -282,89 +290,80 @@ class DifferentialRunner:
         self.document = document
         self.variables = dict(variables or {})
         self.namespaces = dict(namespaces or {})
-        self.routes = tuple(routes)
-        self.extra_routes = dict(extra_routes or {})
-        if isinstance(governance, EvalOptions):
-            if governance.cancel is not None:
-                raise ValueError(
-                    "cancel tokens are not supported as differential "
-                    "governance; use timeout/max_tuples/max_bytes"
-                )
-            governance = {
-                key: value
-                for key, value in (
-                    ("timeout", governance.timeout),
-                    ("max_tuples", governance.max_tuples),
-                    ("max_bytes", governance.max_bytes),
-                )
-                if value is not None
-            }
-        self.governance = dict(governance) if governance else None
-        if self.governance:
-            unknown = set(self.governance) - {
-                "timeout", "max_tuples", "max_bytes",
-            }
-            if unknown:
-                raise ValueError(
-                    f"unknown governance key(s) {sorted(unknown)}"
-                )
+        self.governance = _limits(governance) or None
+        self.options = EvalOptions(
+            variables=self.variables or None,
+            namespaces=self.namespaces or None,
+            **(self.governance or {}),
+        )
+        extra_routes = dict(extra_routes or {})
+        table = {route.name: route for route in ROUTES + REFERENCE_ROUTES}
+        table.update(
+            (name, Route(name, "callable", run=run))
+            for name, run in extra_routes.items()
+        )
+        names = list(dict.fromkeys([*routes, *extra_routes]))
+        for name in names:  # grows while iterated: references join in
+            reference = table[name].reference
+            if reference is not None and reference not in names:
+                names.append(reference)
+        self.routes: Tuple[str, ...] = tuple(names)
+        self._rows = {name: table[name] for name in names}
         self._naive = NaiveInterpreter()
-        self._canonical = XPathCompiler(TranslationOptions.canonical())
-        self._engine = XPathEngine(TranslationOptions.improved())
-        self._stored_engine = XPathEngine(
-            TranslationOptions.improved(), index="off"
-        )
-        self._indexed_engine = XPathEngine(
-            TranslationOptions.improved(), index="force"
-        )
-        self._compiled_engine = XPathEngine(
-            TranslationOptions.improved(), codegen="auto"
-        )
-        self._cost_engine = XPathEngine(
-            TranslationOptions.improved(), index="auto", optimizer="cost",
-            codegen="auto",
-        )
+        self._engines = {
+            route.name: XPathEngine(
+                route.translation(), index=route.index,
+                codegen=route.codegen, optimizer=route.optimizer,
+            )
+            for route in self._rows.values()
+            if route.target in _ENGINE_TARGETS
+        }
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._stored = None
         self._collection: Optional[Collection] = None
         self._shard_stores: List[DocumentStore] = []
         self._server_handle = None
         self._server_client = None
-        needs_store = any(route in self.routes for route in _STORE_ROUTES)
-        needs_collection = COLLECTION_ROUTE in self.routes
-        if (needs_store or needs_collection) and store_dir is None:
+        try:
+            self._open({route.target for route in self._rows.values()},
+                       store_dir, buffer_pages)
+        except BaseException:
+            self.close()
+            raise
+
+    def _open(self, targets, store_dir, buffer_pages) -> None:
+        """Write and open exactly the targets the built rows need."""
+        on_disk = targets & {"store", "server", "collection", "shards"}
+        if on_disk and store_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-fuzz-")
             store_dir = Path(self._tmp.name)
-        if needs_store:
+        if targets & {"store", "server"}:
             store_path = Path(store_dir) / "fuzz.natix"
-            DocumentStore.write(document, store_path)
+            DocumentStore.write(self.document, store_path)
             self._stored = DocumentStore.open(
                 store_path, buffer_pages=buffer_pages
             )
-        if needs_collection:
+        if targets & {"collection", "shards"}:
             catalog = create_collection_from_document(
-                document,
+                self.document,
                 Path(store_dir) / "collection",
                 shards=COLLECTION_SHARDS,
                 name="fuzz",
             )
-            self._collection = Collection(
-                catalog.directory, workers=COLLECTION_WORKERS
-            )
-            # The reference leg: the *same* shard stores, evaluated
-            # in-process through the single-document stored route.
-            self._collection_engine = XPathEngine(
-                TranslationOptions.improved(), index="off"
-            )
-            for info in catalog.shards:
-                self._shard_stores.append(
+            if "collection" in targets:
+                self._collection = Collection(
+                    catalog.directory, workers=COLLECTION_WORKERS
+                )
+            if "shards" in targets:
+                self._shard_stores = [
                     DocumentStore.open(
                         catalog.shard_path(info.shard),
                         buffer_pages=buffer_pages,
                     )
-                )
-        if SERVER_ROUTE in self.routes:
-            # Imported here so runners without the server route never
+                    for info in catalog.shards
+                ]
+        if "server" in targets:
+            # Imported here so runners without a server row never
             # touch the asyncio serving machinery.
             from repro.server import (
                 ServerClient,
@@ -372,12 +371,8 @@ class DifferentialRunner:
                 start_in_thread,
             )
 
-            assert self._stored is not None
             self._server_handle = start_in_thread(
                 {"fuzz": self._stored},
-                engine=XPathEngine(
-                    TranslationOptions.improved(), index="off"
-                ),
                 config=ServerConfig(
                     port=0,
                     page_size=SERVER_PAGE_SIZE,
@@ -419,357 +414,211 @@ class DifferentialRunner:
         self.close()
 
     # ------------------------------------------------------------------
-    # Single-route executions
+    # Evaluation
     # ------------------------------------------------------------------
 
-    def _engine_governance(self) -> Dict[str, object]:
-        """Governance kwargs for the engine-session routes."""
-        return dict(self.governance) if self.governance else {}
+    def _root(self, route: Route):
+        if route.target == "store":
+            return self._stored.root
+        return self.document.root
 
-    def _eval_options(self) -> EvalOptions:
-        """Per-call options for the engine-session routes."""
-        return EvalOptions(
-            variables=self.variables or None,
-            namespaces=self.namespaces or None,
-            **self._engine_governance(),
-        )
-
-    def _fresh_governor(self) -> Optional[ResourceGovernor]:
-        """A per-query governor for the compiled (non-session) route."""
-        if not self.governance:
-            return None
-        return ResourceGovernor(
-            timeout=self.governance.get("timeout"),
-            max_tuples=self.governance.get("max_tuples"),
-            max_bytes=self.governance.get("max_bytes"),
-        )
-
-    def _run_naive(self, query: str) -> XPathValue:
-        context = make_context(
-            self.document.root, self.variables, self.namespaces
-        )
-        return self._naive.evaluate(query, context)
-
-    def _run_canonical(self, query: str) -> XPathValue:
-        compiled = self._canonical.compile(query)
-        return compiled.evaluate(
-            self.document.root, self.variables, self.namespaces,
-            governor=self._fresh_governor(),
-        )
-
-    def _run_improved(self, query: str) -> XPathValue:
-        return self._engine.evaluate(
-            query, self.document.root, self._eval_options()
-        )
-
-    def _run_stored(self, query: str) -> XPathValue:
-        assert self._stored is not None
-        return self._stored_engine.evaluate(
-            query, self._stored.root, self._eval_options()
-        )
-
-    def _run_indexed(self, query: str) -> XPathValue:
-        assert self._stored is not None
-        return self._indexed_engine.evaluate(
-            query, self._stored.root, self._eval_options()
-        )
-
-    def _run_concurrent_single(self, query: str) -> XPathValue:
-        return self._engine.evaluate_concurrent(
-            [query],
-            self.document.root,
-            self._eval_options(),
-            max_workers=2,
-        )[0]
-
-    def _run_compiled(self, query: str) -> XPathValue:
-        return self._compiled_engine.evaluate(
-            query, self.document.root, self._eval_options()
-        )
-
-    def _run_cost(self, query: str) -> XPathValue:
-        assert self._stored is not None
-        return self._cost_engine.evaluate(
-            query, self._stored.root, self._eval_options()
-        )
-
-    def _collection_pair(self, query: str) -> Tuple[Outcome, Outcome]:
-        """Outcomes of the scatter-gather leg and its reference leg.
-
-        Both legs produce the same canonical shape — one ``(shard id,
-        canonical payload)`` pair per shard — so agreement means the
-        multi-process pipeline returned exactly what in-process
-        evaluation of the identical shard stores returns, shard for
-        shard, in global document order.
-
-        When the run is ungoverned, the scatter-gather leg additionally
-        *overlaps* a second, pruning-disabled submission of the same
-        query from another thread: the two submissions are genuinely
-        concurrent in-flight queries on the one pool (qid-multiplexed,
-        not serialized), and the leg asserts their canonical results —
-        or their typed errors — agree, so synopsis pruning and query
-        multiplexing can never change an answer without the oracle
-        noticing.  Governed runs skip the overlap: a tripped limit may
-        legally surface on either submission, which would make their
-        comparison meaningless.
-        """
-        assert self._collection is not None
-
-        def run_unpruned_leg() -> tuple:
-            result = self._collection.evaluate(
-                query,
-                variables=self.variables or None,
-                namespaces=self.namespaces or None,
-                pruning=False,
+    def _answer(self, route: Route, query: str) -> object:
+        """``route``'s canonical answer to ``query``; errors raise."""
+        if route.target == "naive":
+            context = make_context(
+                self.document.root, self.variables, self.namespaces
             )
-            return result.canonical()
-
-        def run_collection() -> tuple:
-            if self.governance:
-                result = self._collection_engine.evaluate_collection(
-                    query, self._collection, self._eval_options()
-                )
-                return result.canonical()
-            sibling: List[Tuple[str, object]] = []
-
-            def run_sibling() -> None:
-                try:
-                    sibling.append(("value", run_unpruned_leg()))
-                except Exception as error:  # noqa: BLE001 - compared
-                    sibling.append(("error", error))
-
-            thread = threading.Thread(
-                target=run_sibling, name="oracle-unpruned-leg"
-            )
-            thread.start()
-            try:
-                result = self._collection_engine.evaluate_collection(
-                    query, self._collection, self._eval_options()
-                )
-            except Exception as error:
-                thread.join()
-                kind, payload = sibling[0]
-                if (kind != "error"
-                        or type(payload) is not type(error)):
-                    raise AssertionError(
-                        "pruned and unpruned collection legs disagree: "
-                        f"pruned raised {type(error).__name__}, "
-                        f"unpruned returned {kind}"
-                    ) from error
-                raise
-            thread.join()
-            kind, payload = sibling[0]
-            canonical = result.canonical()
-            if kind != "value" or payload != canonical:
-                raise AssertionError(
-                    "pruned and unpruned collection legs disagree: "
-                    f"unpruned leg {kind} does not match the pruned "
-                    "scatter"
-                )
-            return canonical
-
-        def run_reference() -> tuple:
+            return canonical_value(self._naive.evaluate(query, context))
+        if route.target == "callable":
+            return canonical_value(route.run(query, self.document.root))
+        if route.target == "server":
+            return self._serve(query)
+        engine = self._engines[route.name]
+        if route.target == "collection":
+            return self._scatter(engine, query)
+        if route.target == "shards":
             return tuple(
-                (
-                    shard,
-                    canonical_value(
-                        self._collection_engine.evaluate(
-                            query, stored.root, self._eval_options()
-                        )
-                    ),
-                )
+                (shard, canonical_value(
+                    engine.evaluate(query, stored.root, self.options)
+                ))
                 for shard, stored in enumerate(self._shard_stores)
             )
-
-        return (
-            _outcome_of_canonical(run_collection),
-            _outcome_of_canonical(run_reference),
+        if route.sink == "batch":
+            return canonical_value(engine.evaluate_concurrent(
+                [query], self._root(route), self.options, max_workers=2,
+            )[0])
+        return canonical_value(
+            engine.evaluate(query, self._root(route), self.options)
         )
 
-    def _run_server_canonical(self, query: str) -> object:
+    def _scatter(self, engine: XPathEngine, query: str) -> tuple:
+        """The collection's canonical answer: one ``(shard id, canonical
+        payload)`` pair per shard, in global document order.
+
+        Ungoverned, the pruned scatter overlaps a second, pruning-disabled
+        submission of the same query from another thread — genuinely
+        concurrent in-flight queries on the one pool (qid-multiplexed,
+        not serialized) — and their canonical results, or their typed
+        errors, must agree, so neither synopsis pruning nor query
+        multiplexing can change an answer unnoticed.  Governed runs skip
+        the overlap: a tripped limit may legally surface on either
+        submission, which would make their comparison meaningless.
+        """
+        if self.options.governed():
+            return engine.evaluate_collection(
+                query, self._collection, self.options
+            ).canonical()
+        sibling: List[Tuple[str, object]] = []
+
+        def run_unpruned() -> None:
+            try:
+                sibling.append(("value", self._collection.evaluate(
+                    query,
+                    variables=self.variables or None,
+                    namespaces=self.namespaces or None,
+                    pruning=False,
+                ).canonical()))
+            except Exception as error:  # noqa: BLE001 - compared
+                sibling.append(("error", error))
+
+        thread = threading.Thread(
+            target=run_unpruned, name="oracle-unpruned-leg"
+        )
+        thread.start()
+        try:
+            result = engine.evaluate_collection(
+                query, self._collection, self.options
+            )
+        except Exception as error:
+            thread.join()
+            kind, payload = sibling[0]
+            if kind != "error" or type(payload) is not type(error):
+                raise AssertionError(
+                    "pruned and unpruned collection legs disagree: "
+                    f"pruned raised {type(error).__name__}, "
+                    f"unpruned returned {kind}"
+                ) from error
+            raise
+        thread.join()
+        kind, payload = sibling[0]
+        canonical = result.canonical()
+        if kind != "value" or payload != canonical:
+            raise AssertionError(
+                "pruned and unpruned collection legs disagree: "
+                f"unpruned leg {kind} does not match the pruned scatter"
+            )
+        return canonical
+
+    def _serve(self, query: str) -> object:
         """One loopback HTTP round trip, reassembled and canonical.
 
-        Streams with a deliberately tiny page size so node-sets cross
-        the wire as several chunked page frames; the client's
-        ``canonical()`` mirrors :func:`canonical_value`, so the result
-        compares directly against the naive baseline.  Error frames
-        re-raise the typed engine exception by its wire-carried name —
-        error-outcome agreement (including governance aborts) needs no
-        special handling.
+        The client's ``canonical()`` mirrors :func:`canonical_value`,
+        and error frames re-raise the typed engine exception by its
+        wire-carried name, so error-outcome agreement (governance aborts
+        included) needs no special handling.
         """
-        assert self._server_client is not None
-        request: Dict[str, object] = {
-            "page_size": SERVER_PAGE_SIZE,
-        }
+        request: Dict[str, object] = {"page_size": SERVER_PAGE_SIZE}
         if self.variables:
             request["variables"] = self.variables
         if self.namespaces:
             request["namespaces"] = self.namespaces
-        if self.governance:
-            request.update(self.governance)
+        request.update(self.governance or {})
         result = self._server_client.query(query, **request)
         result.raise_for_error()
         return result.canonical()
 
-    def _route_runner(self, route: str) -> Callable[[str], XPathValue]:
-        if route in self.extra_routes:
-            run = self.extra_routes[route]
-            return lambda query: run(query, self.document.root)
-        return {
-            "naive": self._run_naive,
-            "canonical": self._run_canonical,
-            "improved": self._run_improved,
-            "stored": self._run_stored,
-            "indexed": self._run_indexed,
-            "concurrent": self._run_concurrent_single,
-            "compiled": self._run_compiled,
-            "cost": self._run_cost,
-        }[route]
+    def _outcome(self, route: Route, query: str) -> Outcome:
+        return _outcome_of_canonical(lambda: self._answer(route, query))
 
     # ------------------------------------------------------------------
     # Comparison
     # ------------------------------------------------------------------
 
     def outcomes(self, query: str) -> Dict[str, Outcome]:
-        """Outcome of every configured route for one query."""
-        return self._route_outcomes(query)
+        """Outcome of every built row for one query."""
+        return {
+            name: self._outcome(route, query)
+            for name, route in self._rows.items()
+        }
 
-    def _route_outcomes(
-        self, query: str, skip: Sequence[str] = ()
-    ) -> Dict[str, Outcome]:
-        results: Dict[str, Outcome] = {}
-        for route in self.routes:
-            if route in skip:
-                continue
-            if route == COLLECTION_ROUTE:
-                (
-                    results[COLLECTION_ROUTE],
-                    results[COLLECTION_REF_ROUTE],
-                ) = self._collection_pair(query)
-                continue
-            if route == SERVER_ROUTE:
-                results[route] = _outcome_of_canonical(
-                    lambda: self._run_server_canonical(query)
-                )
-                continue
-            runner = self._route_runner(route)
-            results[route] = outcome_of(lambda: runner(query))
-        for route in self.extra_routes:
-            if route not in results:
-                runner = self._route_runner(route)
-                results[route] = outcome_of(lambda: runner(query))
-        return results
-
-    def check(self, query: str) -> List[Divergence]:
-        """Divergences (vs the baseline route) for one query."""
-        return self._compare(query, self.outcomes(query))
-
-    def check_batch(
+    def batch_outcomes(
         self, queries: Sequence[str]
-    ) -> List[Divergence]:
-        """Check a batch; the concurrent route runs as one real batch.
+    ) -> List[Dict[str, Outcome]]:
+        """:meth:`outcomes` of a batch; ``batch`` rows run as one real
+        thread-pool batch.
 
-        Queries whose baseline outcome is an error are checked
-        one-by-one on the concurrent route (a thread-pool batch
-        propagates the first exception, losing per-query attribution).
+        Queries whose reference outcome is not a value run one by one
+        on a batch row (a thread-pool batch propagates the first
+        exception, losing per-query attribution), and so does the whole
+        batch when it raises anyway.
         """
-        divergences: List[Divergence] = []
+        batched = [
+            route for route in self._rows.values() if route.sink == "batch"
+        ]
         per_query = [
-            self._route_outcomes(query, skip=("concurrent",))
+            {
+                name: self._outcome(route, query)
+                for name, route in self._rows.items()
+                if route.sink != "batch"
+            }
             for query in queries
         ]
-
-        if "concurrent" in self.routes:
+        for route in batched:
             clean = [
-                (slot, query)
-                for slot, query in enumerate(queries)
-                if per_query[slot]
-                .get(BASELINE_ROUTE, Outcome("value", None))
-                .kind
-                == "value"
+                slot for slot, outcomes in enumerate(per_query)
+                if outcomes[route.reference].kind == "value"
             ]
-            batch_results: Dict[int, Outcome] = {}
+            engine = self._engines[route.name]
+            values: Dict[int, XPathValue] = {}
             if clean:
                 try:
-                    values = self._engine.evaluate_concurrent(
-                        [query for _, query in clean],
-                        self.document.root,
-                        self._eval_options(),
-                        max_workers=4,
-                    )
+                    values = dict(zip(clean, engine.evaluate_concurrent(
+                        [queries[slot] for slot in clean],
+                        self._root(route), self.options, max_workers=4,
+                    )))
                 except Exception:  # noqa: BLE001 - fall back per query
-                    values = None
-                if values is not None:
-                    for (slot, _), value in zip(clean, values):
-                        batch_results[slot] = Outcome(
-                            "value", canonical_value(value)
-                        )
+                    pass
             for slot, query in enumerate(queries):
-                if slot in batch_results:
-                    per_query[slot]["concurrent"] = batch_results[slot]
-                else:
-                    per_query[slot]["concurrent"] = outcome_of(
-                        lambda: self._run_concurrent_single(query)
-                    )
+                per_query[slot][route.name] = (
+                    Outcome("value", canonical_value(values[slot]))
+                    if slot in values
+                    else self._outcome(route, query)
+                )
+        return per_query
 
-        for query, outcomes in zip(queries, per_query):
-            divergences.extend(self._compare(query, outcomes))
-        return divergences
+    def check(self, query: str) -> List[Divergence]:
+        """Divergences (each row vs its reference) for one query."""
+        return self.compare(query, self.outcomes(query))
 
-    def _compare(
+    def check_batch(self, queries: Sequence[str]) -> List[Divergence]:
+        """Divergences of a batch (see :meth:`batch_outcomes`)."""
+        return [
+            divergence
+            for query, outcomes in zip(
+                queries, self.batch_outcomes(queries)
+            )
+            for divergence in self.compare(query, outcomes)
+        ]
+
+    def compare(
         self, query: str, outcomes: Mapping[str, Outcome]
     ) -> List[Divergence]:
-        baseline = outcomes[BASELINE_ROUTE]
+        """Divergences of one query's outcomes, each row against its
+        own reference row; a crash anywhere is a divergence.  A row
+        without a reference is its own, so only a crash can diverge."""
         divergences = []
-        for route, outcome in outcomes.items():
-            if route == BASELINE_ROUTE:
-                if outcome.kind == "crash":
-                    divergences.append(
-                        Divergence(query, route, outcome, outcome)
-                    )
-                continue
-            if route == COLLECTION_REF_ROUTE:
-                # The reference leg exists only as the collection
-                # route's comparison target — sharding changes the
-                # data, so it is never compared to the whole-document
-                # baseline.  A crash there is still a finding.
-                if outcome.kind == "crash":
-                    divergences.append(
-                        Divergence(query, route, outcome, outcome, route)
-                    )
-                continue
-            reference = baseline
-            reference_route = BASELINE_ROUTE
-            if route == COLLECTION_ROUTE:
-                reference = outcomes[COLLECTION_REF_ROUTE]
-                reference_route = COLLECTION_REF_ROUTE
-            if outcome.kind == "crash":
-                divergences.append(
-                    Divergence(
-                        query, route, outcome, reference, reference_route
-                    )
-                )
-                continue
-            if self.governance and (
-                (
-                    outcome.kind == "error"
-                    and outcome.payload in GOVERNANCE_ERROR_NAMES
-                )
-                or (
-                    route == COLLECTION_ROUTE
-                    and reference.kind == "error"
-                    and reference.payload in GOVERNANCE_ERROR_NAMES
-                )
+        for name, outcome in outcomes.items():
+            reference_name = self._rows[name].reference or name
+            reference = outcomes[reference_name]
+            governed_abort = self.options.governed() and (
+                _governance_abort(outcome) or _governance_abort(reference)
+            )
+            if outcome.kind == "crash" or (
+                outcome != reference and not governed_abort
             ):
-                # Under governance a limit abort is a legal outcome on
-                # any governed route; the baseline is never governed.
-                # The collection reference leg *is* governed, so a trip
-                # on either collection leg voids the comparison.
-                continue
-            if outcome != reference:
                 divergences.append(
                     Divergence(
-                        query, route, outcome, reference, reference_route
+                        query, name, outcome, reference, reference_name
                     )
                 )
         return divergences

@@ -1,11 +1,12 @@
-"""Replay the checked-in regression corpus through the eight-way oracle.
+"""Replay the checked-in regression corpus through the differential oracle.
 
 Every entry under ``tests/corpus/*.json`` — the paper's benchmark
 queries, the end-to-end query lists, and every minimized fuzz finding —
-is executed through all eight routes (naive, canonical, improved, stored,
-indexed, concurrent, compiled, cost) and must agree.  Runners are cached per
-document so the stored route's page file is written once per distinct
-corpus document, not once per entry.
+is executed through every route of
+:data:`~repro.testing.oracle.ROUTE_NAMES` and must agree.
+:class:`~repro.testing.corpus.CorpusReplay` keeps one runner per
+distinct corpus document, so its page file and shards are written once,
+not once per entry.
 """
 
 from pathlib import Path
@@ -13,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import parse_document
-from repro.testing.corpus import document_cache_key, load_corpus
-from repro.testing.oracle import DifferentialRunner
+from repro.testing.corpus import CorpusReplay, load_corpus
 
 from .conftest import assert_engines_agree
 
@@ -34,29 +34,14 @@ def test_corpus_is_not_empty():
 
 
 @pytest.fixture(scope="module")
-def runner_cache():
-    runners = {}
-    yield runners
-    for runner in runners.values():
-        runner.close()
+def replay():
+    with CorpusReplay() as replay:
+        yield replay
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_corpus_entry(entry, runner_cache):
-    key = (
-        document_cache_key(entry.document),
-        tuple(sorted(entry.variables.items())),
-        tuple(sorted(entry.namespaces.items())),
-    )
-    runner = runner_cache.get(key)
-    if runner is None:
-        runner = DifferentialRunner(
-            entry.build_document(),
-            variables=entry.variables,
-            namespaces=entry.namespaces,
-        )
-        runner_cache[key] = runner
-    divergences = runner.check(entry.query)
+def test_corpus_entry(entry, replay):
+    divergences = replay.check(entry)
     assert not divergences, "\n".join(
         divergence.describe() for divergence in divergences
     )

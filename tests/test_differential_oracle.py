@@ -1,20 +1,21 @@
-"""Differential oracle: every backend must return the same answers.
+"""Differential oracle over the paper's documents and query sets.
 
-Four evaluation routes are cross-checked over three corpora:
+The fuzzer's :class:`~repro.testing.oracle.DifferentialRunner` checks
+three fixed corpora (a DBLP document with the Fig. 10 queries, a
+generated document with the Fig. 5 queries and axis paths, and the
+hand-written sample) on the routes that matter for whole documents:
 
-1. the algebraic engine, sequentially (``XPathEngine.evaluate``),
-2. the naive main-memory interpreter (independent semantics oracle),
-3. the algebraic engine over the *stored* document (page file +
-   buffer manager + record decoding), and
-4. the algebraic engine through ``evaluate_concurrent`` (thread pool,
-   shared plan cache, singleflight coalescing).
+* ``improved`` — the algebraic engine on the in-memory document,
+* ``stored`` — the page file, buffer manager and record decoding,
+* ``concurrent`` — one real ``evaluate_concurrent`` batch (thread pool,
+  shared plan cache, singleflight coalescing),
+* ``server`` — the same page file behind the streaming HTTP front end
+  and its default engine (``index="auto"``, ``optimizer="heuristic"``,
+  interpreted), the configuration ``python -m repro.server`` serves,
 
-A single divergence anywhere is a bug in translation, storage, or the
-concurrent plumbing; the assertions report every divergent query at
-once.  Node results from different backends live in different
-``Document`` objects, so comparison uses a document-independent
-canonical form — stored node ids are preorder ranks, hence ``sort_key``
-lines up across the in-memory and stored trees.
+each against the ``naive`` spec interpreter.  A single divergence
+anywhere is a bug in translation, storage, the concurrent plumbing or
+the wire protocol; the assertion reports every divergent query at once.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from __future__ import annotations
 import pytest
 
 from repro import XPathEngine, parse_document
-from repro.baselines import NaiveInterpreter
-from repro.storage import DocumentStore
+from repro.testing.oracle import DifferentialRunner
 from repro.workloads import generate_dblp, generate_document
 from repro.workloads.querygen import (
     FIG5_QUERIES,
     FIG10_QUERIES,
     sample_axis_paths,
 )
-from repro.xpath.context import make_context
 
 from .conftest import SAMPLE_XML
 
@@ -64,76 +63,31 @@ CORPORA = {
     "sample": (lambda: parse_document(SAMPLE_XML), SAMPLE_QUERIES),
 }
 
-
-def canonical(value):
-    """Document-independent canonical form of an XPath value.
-
-    Node-sets become sorted ``(sort_key, kind, name, string_value)``
-    tuples — stable across the in-memory and stored builds of the same
-    document.  NaN becomes ``"NaN"`` (NaN != NaN breaks comparison).
-    """
-    if isinstance(value, list):
-        return tuple(
-            sorted(
-                (node.sort_key, node.kind.value, node.name,
-                 node.string_value())
-                for node in value
-            )
-        )
-    if isinstance(value, float) and value != value:
-        return "NaN"
-    return value
+ROUTES = ("naive", "improved", "stored", "concurrent", "server")
 
 
 @pytest.fixture(scope="module", params=sorted(CORPORA), ids=sorted(CORPORA))
-def corpus(request, tmp_path_factory):
-    """(queries, in-memory root, stored root) for one corpus."""
+def corpus(request):
+    """(queries, runner) for one corpus."""
     build, queries = CORPORA[request.param]
-    document = build()
-    path = tmp_path_factory.mktemp("oracle") / f"{request.param}.natix"
-    DocumentStore.write(document, path)
-    with DocumentStore.open(path) as stored:
-        yield queries, document.root, stored.root
+    with DifferentialRunner(build(), routes=ROUTES) as runner:
+        yield queries, runner
 
 
-def test_four_way_oracle(corpus):
-    queries, memory_root, stored_root = corpus
-    sequential_engine = XPathEngine()
-    stored_engine = XPathEngine()
-    naive = NaiveInterpreter()
-
-    # Route 4 first: one batch through the thread pool, results by slot.
-    concurrent = sequential_engine.evaluate_concurrent(
-        list(queries), memory_root, max_workers=4
-    )
-
-    divergences = []
-    for slot, query in enumerate(queries):
-        routes = {
-            "sequential": sequential_engine.evaluate(query, memory_root),
-            "naive": naive.evaluate(query, make_context(memory_root)),
-            "stored": stored_engine.evaluate(query, stored_root),
-            "concurrent": concurrent[slot],
-        }
-        forms = {name: canonical(value) for name, value in routes.items()}
-        baseline = forms["naive"]
-        for name, form in forms.items():
-            if form != baseline:
-                divergences.append((query, name, form, baseline))
-
+def test_routes_agree(corpus):
+    queries, runner = corpus
+    divergences = runner.check_batch(queries)
     assert not divergences, (
         f"{len(divergences)} divergence(s):\n"
-        + "\n".join(
-            f"  {name} disagrees on {query!r}:\n"
-            f"    naive: {baseline!r}\n    {name}: {form!r}"
-            for query, name, form, baseline in divergences
-        )
+        + "\n".join(divergence.describe() for divergence in divergences)
     )
 
 
 def test_oracle_covers_node_and_scalar_results(corpus):
     """The corpus is a real oracle: both node-sets and scalars appear."""
-    queries, memory_root, _ = corpus
+    queries, runner = corpus
     engine = XPathEngine()
-    results = [engine.evaluate(query, memory_root) for query in queries]
+    results = [
+        engine.evaluate(query, runner.document.root) for query in queries
+    ]
     assert any(isinstance(result, list) and result for result in results)

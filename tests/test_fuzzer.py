@@ -7,6 +7,8 @@ campaign must run clean end to end.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.testing.documents import (
     build_document,
     spec_from_document,
 )
+from repro.testing import fuzzer, oracle
 from repro.testing.fuzzer import run_campaign
 from repro.testing.grammar import (
     DEFAULT_NAMESPACES,
@@ -32,7 +35,8 @@ from repro.testing.grammar import (
     GrammarConfig,
     QueryGenerator,
 )
-from repro.testing.oracle import ROUTE_NAMES, DifferentialRunner
+from repro.testing.oracle import ROUTE_NAMES, DifferentialRunner, Route
+from repro.testing.shrink import ast_size, spec_size
 
 
 class TestQueryGenerator:
@@ -147,16 +151,44 @@ class TestCampaign:
         assert report.coverage.queries == 30
         assert report.value_outcomes + report.error_outcomes == 30
 
-    def test_campaign_detects_and_shrinks_injected_bug(self, tmp_path):
-        """End-to-end: a broken route is caught, shrunk, and recorded."""
-        document = parse_xml("<r><a>1</a><a>2</a></r>")
-        with DifferentialRunner(
-            document,
-            routes=("naive", "improved"),
-            extra_routes={"broken": lambda query, node: []},
-        ) as runner:
-            divergences = runner.check("//a")
-        assert [d.route for d in divergences] == ["broken"]
+    def test_campaign_detects_and_shrinks_injected_bug(
+        self, tmp_path, monkeypatch
+    ):
+        """End-to-end: a broken route is caught, shrunk, and recorded,
+        and every shrink candidate runs only the baseline, the diverging
+        route and its reference."""
+        broken = Route("improved", "callable", run=lambda query, node: [])
+        monkeypatch.setattr(oracle, "ROUTES", tuple(
+            broken if route.name == "improved" else route
+            for route in oracle.ROUTES
+        ))
+        built = []
+
+        class RecordingRunner(DifferentialRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.routes)
+
+        monkeypatch.setattr(fuzzer, "DifferentialRunner", RecordingRunner)
+        corpus = tmp_path / "found.json"
+        report = run_campaign(
+            seed=0, n=10, queries_per_doc=10, shrink=True, max_findings=1,
+            routes=("improved", "collection"), corpus_path=corpus,
+        )
+        [finding] = report.findings
+        assert finding.divergence.route == "improved"
+        assert ast_size(parse_xpath(finding.shrunk_query)) <= 3
+        shrunk_document = parse_xml(finding.shrunk_document_xml)
+        assert spec_size(spec_from_document(shrunk_document)) <= 2
+        assert [entry.query for _, entry in load_corpus(tmp_path)] == [
+            finding.shrunk_query
+        ]
+        campaign, *candidates = built
+        assert campaign == (
+            "naive", "improved", "collection", "collection_ref"
+        )
+        assert candidates
+        assert all(routes == ("naive", "improved") for routes in candidates)
 
     def test_cli_gen(self, capsys):
         assert cli.main(["gen", "--seed", "0", "--n", "3"]) == 0
@@ -233,6 +265,16 @@ class TestDifferentialRunnerOutcomes:
                         ),
                         ReproError,
                     )
+
+
+def test_docs_route_table_lists_every_route():
+    """docs/testing.md's route table names exactly the oracle's rows."""
+    docs = Path(__file__).parents[1] / "docs" / "testing.md"
+    section = docs.read_text(encoding="utf-8").split(
+        "### The differential oracle", 1
+    )[1].split("\n### ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` +\|", section, flags=re.M)
+    assert tuple(documented) == ROUTE_NAMES
 
 
 class TestGovernedOracle:
