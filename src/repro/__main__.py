@@ -38,7 +38,11 @@ from repro import (
 )
 from repro.dom.node import Node, NodeKind
 from repro.dom.serializer import serialize
-from repro.engine.options import CODEGEN_MODES, OPTIMIZER_MODES
+from repro.engine.options import (
+    CODEGEN_MODES,
+    DEFAULT_CODEGEN,
+    OPTIMIZER_MODES,
+)
 from repro.errors import ReproError
 from repro.xpath.datamodel import number_to_string
 
@@ -137,10 +141,13 @@ def main(argv: Optional[List[str]] = None) -> int:
              "produced N tuples (algebraic engines only)",
     )
     parser.add_argument(
-        "--codegen", choices=CODEGEN_MODES, default="off",
-        help="compile plans to generated Python: 'auto' falls back to "
-             "the interpreter on unsupported operators, 'force' fails "
-             "instead (session engines only; default: off)",
+        "--codegen", choices=CODEGEN_MODES, default=None,
+        help="backend of session engines: 'auto' interprets a plan's "
+             "first execution and runs it as generated Python from the "
+             "second on, falling back to the interpreter on unsupported "
+             "operators; 'force' generates on first use and fails "
+             "instead of falling back; 'off' always interprets "
+             f"(default: {DEFAULT_CODEGEN})",
     )
     parser.add_argument(
         "--store", metavar="PATH",
@@ -191,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "governance checkpoints"
         )
     if (
-        arguments.codegen != "off"
+        arguments.codegen is not None
         and arguments.engine not in _SESSION_ENGINES
     ):
         parser.error(
@@ -221,11 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if arguments.store:
             parser.error("--collection and --store are mutually exclusive")
-        if arguments.codegen != "off":
-            parser.error(
-                "--codegen is not supported with --collection "
-                "(workers interpret shipped plans)"
-            )
         if arguments.shards < 1:
             parser.error("--shards must be at least 1")
 
@@ -371,7 +373,7 @@ def _run_query(arguments, target) -> None:
         session = XPathEngine(
             _SESSION_ENGINES[name](optimize=arguments.optimize),
             index="auto" if arguments.indexes else "off",
-            codegen=arguments.codegen,
+            codegen=arguments.codegen or DEFAULT_CODEGEN,
             optimizer=arguments.optimizer,
             default_timeout=arguments.timeout,
             default_max_tuples=arguments.max_tuples,

@@ -59,7 +59,7 @@ from repro.dom.document import Document
 from repro.dom.node import Node
 from repro.dom.parser import parse as _parse_xml
 from repro.engine.governor import CancelToken, ResourceGovernor
-from repro.engine.options import EvalOptions
+from repro.engine.options import DEFAULT_CODEGEN, EvalOptions
 from repro.engine.session import (
     EngineStats,
     XPathEngine,
@@ -343,7 +343,7 @@ def evaluate(
             session = XPathEngine(
                 options,
                 index=resolved.index or "auto",
-                codegen=resolved.codegen or "off",
+                codegen=resolved.codegen or DEFAULT_CODEGEN,
                 optimizer=resolved.optimizer or "heuristic",
             )
             return session.evaluate(query, target, resolved)
@@ -353,7 +353,7 @@ def evaluate(
             resolved.variables,
             resolved.namespace_map(),
             governor=resolved.governor(),
-            codegen=resolved.codegen or "off",
+            codegen=resolved.codegen or DEFAULT_CODEGEN,
         )
     runner = get_engine_factory(name)()
     return runner(
@@ -383,7 +383,7 @@ def evaluate_concurrent(
     engine = XPathEngine(
         options,
         index=resolved.index or "auto",
-        codegen=resolved.codegen or "off",
+        codegen=resolved.codegen or DEFAULT_CODEGEN,
         optimizer=resolved.optimizer or "heuristic",
     )
     return engine.evaluate_concurrent(

@@ -174,7 +174,8 @@ class CollectionStats:
     ``codegen_compiled`` / ``codegen_fallbacks`` mean what the engine
     runtime counters of those names mean, counted per completed shard
     task: the task's plan ran as generated Python, or had no lowering
-    and ran interpreted.  Pruned shards count neither.
+    and ran interpreted.  Pruned shards count neither, and neither
+    does a per-shard plan's first, interpreted task.
     """
 
     name: str
@@ -234,9 +235,11 @@ class Collection:
     are counted in :class:`CollectionStats` — results are bit-identical
     with pruning on or off.
 
-    The backend is not a knob: every shard task runs as generated
-    Python when its per-shard plan lowers and interpreted when it does
-    not (counted as ``codegen_compiled`` / ``codegen_fallbacks``).
+    The backend is not a knob: shard tasks run the engine default,
+    ``codegen="auto"`` — a per-shard plan's first task interprets, and
+    every later one runs as generated Python when the plan lowers and
+    interpreted when it does not (counted as ``codegen_compiled`` /
+    ``codegen_fallbacks``).
     """
 
     def __init__(

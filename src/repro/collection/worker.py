@@ -8,12 +8,13 @@ queue compiling shipped translations (:func:`compile_shipped`) into a
 private per-shard plan cache and evaluating them under a per-task
 :class:`~repro.engine.governor.ResourceGovernor`.
 
-The worker picks its own backend: every query task runs through the
-generated-Python backend when the per-shard plan lowers and through the
-interpreted iterator tree when it does not (``codegen="auto"``).  Code
-is emitted once per (shard, plan) and kept on the cached
-:class:`~repro.compiler.pipeline.CompiledQuery`, so a plan-cache hit
-pays no emission.
+The worker picks its own backend, the engine default
+(``codegen="auto"``): a per-shard plan's first task interprets the
+iterator tree, its second emits it as Python, and every later task runs
+the generated code when the plan lowers and the interpreter when it
+does not.  Code is emitted at most once per (shard, plan) and kept on
+the cached :class:`~repro.compiler.pipeline.CompiledQuery`, so later
+plan-cache hits pay no emission.
 
 Everything crossing the process boundary is plain picklable data:
 
@@ -26,11 +27,12 @@ Everything crossing the process boundary is plain picklable data:
 - **Results** (worker → parent): ``("ok", qid, shard, payload,
   elapsed, generated)`` or ``("err", qid, shard, encoded_error,
   elapsed, None)``.  ``generated`` is ``True`` when a query task ran as
-  generated Python, ``False`` when it was interpreted, and ``None`` for
-  tasks that ran no plan (sleeps, errors).  Node-set payloads are
-  canonical record tuples ``(sort_key, kind, name, string_value)`` in
-  document order — live node handles never leave the process that owns
-  their pages.
+  generated Python, ``False`` when it fell back to the interpreter
+  because the plan has no lowering, and ``None`` for a plan's first,
+  interpreted task and for tasks that ran no plan (sleeps, errors).
+  Node-set payloads are canonical record tuples ``(sort_key, kind,
+  name, string_value)`` in document order — live node handles never
+  leave the process that owns their pages.
 
 Cross-process cancellation rides one shared ``multiprocessing.Array``
 of qid slots (shared by every worker of the pool): the parent parks
@@ -52,6 +54,7 @@ from typing import Dict, Optional, Tuple
 import repro.errors as errors_module
 from repro.collection.plans import ShippedPlan, compile_shipped
 from repro.engine.governor import ResourceGovernor
+from repro.engine.options import DEFAULT_CODEGEN
 from repro.errors import QueryTimeoutError, ReproError
 from repro.storage import DocumentStore
 
@@ -299,16 +302,18 @@ def _run_query(
     limits,
     cancel_slots,
     qid: int,
-) -> Tuple[tuple, bool]:
+) -> Tuple[tuple, Optional[bool]]:
     """Compile (cached) and evaluate one shipped plan on one shard.
 
-    Returns ``(payload, generated)``: the canonical payload and whether
-    the plan ran as generated Python (``False``: it has no lowering and
-    was interpreted).  The plan cache is keyed per shard: with index
-    routing on, two shards of the same worker compile *different*
-    physical plans from the same shipped translation (each routed onto
-    its own index set), and each cached plan carries its own generated
-    code, emitted on first evaluation.
+    Returns ``(payload, generated)``: the canonical payload and what
+    this execution ran (:meth:`CompiledQuery.backend`): ``True``
+    generated Python, ``False`` the interpreter because the plan has no
+    lowering, ``None`` the interpreter on the plan's first execution.
+    The plan cache is keyed per shard: with index routing on, two
+    shards of the same worker compile *different* physical plans from
+    the same shipped translation (each routed onto its own index set),
+    and each cached plan carries its own generated code, emitted on its
+    second evaluation.
     """
     key = (
         shard,
@@ -327,17 +332,15 @@ def _run_query(
             plan_cache.pop(next(iter(plan_cache)))
         plan_cache[key] = compiled
     governor = _make_governor(limits, cancel_slots, qid)
+    _, generated = compiled.backend(DEFAULT_CODEGEN)
     result = compiled.evaluate(
         stored.root,
         variables=dict(variables or {}),
         namespaces=dict(namespaces or {}),
         governor=governor,
-        codegen="auto",
+        codegen="force" if generated else "off",
     )
-    return (
-        _canonical_payload(result),
-        compiled.codegen_state == "compiled",
-    )
+    return _canonical_payload(result), generated
 
 
 __all__ = [

@@ -11,11 +11,16 @@ the logical plan (pretty-printable) and ``evaluate()``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import Counter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
+# The default backend, imported up front: imported on a plan's first
+# emission instead, its transient memory lands on an already grown heap
+# and raises the process's peak RSS.
+from repro import codegen as pycodegen
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
 from repro.algebra.printer import plan_to_string
@@ -47,6 +52,11 @@ from repro.xpath.xast import Expr
 _ALLOWED_FREE = frozenset(
     {TOP_CONTEXT_ATTR, TOP_POSITION_ATTR, TOP_SIZE_ATTR}
 )
+
+#: Under ``codegen="auto"`` a plan is emitted as Python on this
+#: execution and runs generated from then on; earlier executions
+#: interpret, so a plan executed once never pays emission.
+AUTO_EMIT_EXECUTION = 2
 
 #: Result attribute of top-level scalar plans.
 _SCALAR_RESULT_ATTR = "result"
@@ -99,6 +109,10 @@ class CompiledQuery:
         self._generated = None
         self.codegen_state = "pending"
         self.codegen_detail = ""
+        #: Numbers the ``"auto"`` executions of a pending plan
+        #: (``next`` on it is atomic, so racing threads draw distinct
+        #: numbers).
+        self._auto_executions = itertools.count(1)
 
     # ------------------------------------------------------------------
 
@@ -116,8 +130,6 @@ class CompiledQuery:
         with self._codegen_lock:
             if self.codegen_state != "pending":
                 return self._generated
-            from repro import codegen as pycodegen
-
             start = time.perf_counter()
             try:
                 generated = pycodegen.generate_python(
@@ -240,15 +252,12 @@ class CompiledQuery:
         and makes it raise a typed governance error instead of
         returning a partial result.
 
-        ``codegen`` selects the backend: ``"off"`` interprets the
-        iterator tree, ``"auto"`` runs the generated Python function
-        when the plan compiles (interpreting otherwise), ``"force"``
-        raises :class:`~repro.errors.CodegenError` if it does not.
+        ``codegen`` selects the backend (see :meth:`backend`).
         """
         context = self._context(
             context_node, variables, namespaces, governor, position, size
         )
-        runner = self._select_generated(codegen) or self.thread_physical
+        runner, _ = self.backend(codegen)
         result = runner.execute(context)
         if ordered and isinstance(result, list):
             if self.emits_document_order:
@@ -317,14 +326,48 @@ class CompiledQuery:
             governor=governor,
         )
 
+    def backend(self, codegen: str) -> Tuple[object, Optional[bool]]:
+        """Pick the backend of one execution under ``codegen``.
+
+        Returns ``(runner, generated)``: ``runner`` is the generated
+        function or this thread's iterator tree, and ``generated`` says
+        what ran — ``True`` generated code, ``False`` the interpreter
+        because the plan has no lowering (a codegen fallback), ``None``
+        the interpreter by choice (``"off"``, or an ``"auto"`` execution
+        before the plan is emitted).  A caller that accounts for the
+        choice and then runs it through :meth:`evaluate` or
+        :meth:`count` passes ``"force"`` for ``True`` (the emitted code,
+        without counting another ``"auto"`` execution) and ``"off"``
+        otherwise.
+        """
+        generated = self._select_generated(codegen)
+        if generated is not None:
+            return generated, True
+        fallback = codegen != "off" and self.codegen_state == "unsupported"
+        return self.thread_physical, (False if fallback else None)
+
     def _select_generated(self, codegen: str):
-        """Resolve a ``codegen`` mode to a generated plan (or None)."""
+        """Resolve a ``codegen`` mode to a generated plan (or None).
+
+        ``"off"`` interprets.  ``"auto"`` interprets until the plan's
+        :data:`AUTO_EMIT_EXECUTION`-th ``"auto"`` execution, which
+        emits it; from then on it runs generated code when the plan
+        lowers and interprets when it does not.  ``"force"`` emits on
+        first use and raises :class:`~repro.errors.CodegenError` when
+        the plan does not lower.
+        """
         if codegen == "off":
             return None
         if codegen not in CODEGEN_MODES:
             raise ValueError(
                 f"codegen must be one of {CODEGEN_MODES}, got {codegen!r}"
             )
+        if (
+            codegen == "auto"
+            and self.codegen_state == "pending"
+            and next(self._auto_executions) < AUTO_EMIT_EXECUTION
+        ):
+            return None
         generated = self.ensure_generated()
         if generated is None and codegen == "force":
             raise CodegenError(
@@ -366,7 +409,7 @@ class CompiledQuery:
         context = self._context(
             context_node, variables, namespaces, governor
         )
-        runner = self._select_generated(codegen) or self.thread_physical
+        runner, _ = self.backend(codegen)
         return runner.execute_count(context)
 
     def reset_stats(self) -> None:

@@ -18,6 +18,10 @@ from repro.xpath.datamodel import XPathValue
 #: Valid values of the ``index`` and ``codegen`` options.
 INDEX_MODES = CODEGEN_MODES = ("auto", "off", "force")
 
+#: The ``codegen`` mode of an engine, CLI or shard worker that is not
+#: given one: generated Python from a plan's second execution on.
+DEFAULT_CODEGEN = "auto"
+
 #: Valid values of the ``optimizer`` option.
 OPTIMIZER_MODES = ("heuristic", "cost")
 

@@ -67,6 +67,7 @@ from repro.engine.cache import (
 from repro.engine.context import ExecutionContext
 from repro.engine.options import (
     CODEGEN_MODES,
+    DEFAULT_CODEGEN,
     INDEX_MODES,
     OPTIMIZER_MODES,
     EvalOptions,
@@ -350,14 +351,13 @@ class _Scope:
             self.notes = {}
         self.notes[counter] = self.notes.get(counter, 0) + amount
 
-    def note_codegen(self, plan: CompiledQuery, codegen: str) -> None:
-        """Account one execution's backend choice (after the call, when
-        the plan's lazily-computed codegen state is settled)."""
-        if codegen == "off":
-            return
-        if plan.codegen_state == "compiled":
+    def note_codegen(self, generated: Optional[bool]) -> None:
+        """Account what one execution ran, as
+        :meth:`CompiledQuery.backend` reports it: generated code, a
+        fallback to the interpreter, or (``None``) neither."""
+        if generated is True:
             self.note("codegen_compiled")
-        elif plan.codegen_state == "unsupported":
+        elif generated is False:
             self.note("codegen_fallbacks")
 
     def note_estimation(self, plan: CompiledQuery, result) -> None:
@@ -452,7 +452,7 @@ class XPathEngine:
         coalesce: bool = True,
         max_workers: int = DEFAULT_MAX_WORKERS,
         index: str = "auto",
-        codegen: str = "off",
+        codegen: str = DEFAULT_CODEGEN,
         optimizer: str = "heuristic",
         default_timeout: Optional[float] = None,
         default_max_tuples: Optional[int] = None,
@@ -477,9 +477,11 @@ class XPathEngine:
         #: route every eligible step regardless of selectivity; "off" —
         #: never consult indexes.
         self.index_mode: str = index
-        #: "auto" — execute plans through the Python codegen backend
-        #: when they compile, falling back to the interpreter (counted
-        #: as ``codegen_fallbacks``); "force" — raise
+        #: "auto" (the default) — interpret a plan's first execution,
+        #: then emit it as Python and run the generated code when it
+        #: compiles, falling back to the interpreter (counted as
+        #: ``codegen_fallbacks``) when it does not; "force" — emit on
+        #: first use and raise
         #: :class:`~repro.errors.CodegenError` on plans that do not
         #: compile; "off" — always interpret the iterator tree.
         self.codegen_mode: str = codegen
@@ -848,16 +850,9 @@ class XPathEngine:
             for plan in plans:
                 scope.plan = plan
                 scope.executions += 1
-                generated = (
-                    plan._select_generated(codegen)
-                    if codegen != "off"
-                    else None
-                )
-                if generated is not None:
-                    results.append(generated.execute(context))
-                else:
-                    results.append(plan.thread_physical.execute(context))
-                scope.note_codegen(plan, codegen)
+                runner, generated = plan.backend(codegen)
+                results.append(runner.execute(context))
+                scope.note_codegen(generated)
         return results
 
     def evaluate_concurrent(
@@ -994,8 +989,9 @@ class XPathEngine:
         raises :class:`~repro.errors.ShardFailedError`.  Returns the
         merged :class:`repro.collection.CollectionResult`.
 
-        Backend: the shard workers always run a per-shard plan as
-        generated Python when it lowers (interpreted otherwise), so a
+        Backend: the shard workers run the default ``codegen="auto"``
+        (a per-shard plan interprets its first task and runs as
+        generated Python from its second on when it lowers), so a
         per-call or engine ``codegen`` mode does not apply to a
         collection target and is ignored; the collection's own
         ``codegen_compiled`` / ``codegen_fallbacks`` counters report
@@ -1083,11 +1079,12 @@ class XPathEngine:
         node = resolve_context_node(target)
         governor = request.governor()
         with _Scope(self, plan, node) as scope:
+            _, generated = plan.backend(codegen)
             result = plan.count(
                 node, variables=request.variables, namespaces=namespaces,
-                governor=governor, codegen=codegen,
+                governor=governor, codegen="force" if generated else "off",
             )
-            scope.note_codegen(plan, codegen)
+            scope.note_codegen(generated)
         return result
 
     # -- observability -------------------------------------------------
@@ -1150,11 +1147,13 @@ class XPathEngine:
     ) -> XPathValue:
         """One governed plan execution inside its accounting scope."""
         with _Scope(self, plan, node) as scope:
+            # Pick the backend once, count it, then run that choice.
+            _, generated = plan.backend(codegen)
             result = plan.evaluate(
                 node, variables, namespaces, ordered=ordered,
-                governor=governor, codegen=codegen,
+                governor=governor, codegen="force" if generated else "off",
             )
-            scope.note_codegen(plan, codegen)
+            scope.note_codegen(generated)
             scope.note_estimation(plan, result)
         return result
 

@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 from repro import __version__, open_collection, open_store, parse_document
 from repro.engine.options import (
     CODEGEN_MODES,
+    DEFAULT_CODEGEN,
     INDEX_MODES,
     OPTIMIZER_MODES,
 )
@@ -120,8 +121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="engine index-routing mode (default: auto)",
     )
     parser.add_argument(
-        "--codegen", choices=CODEGEN_MODES, default="off",
-        help="engine codegen mode for mode=full requests (default: off)",
+        "--codegen", choices=CODEGEN_MODES, default=DEFAULT_CODEGEN,
+        help="engine codegen mode for mode=full requests; 'auto' runs a "
+             "plan as generated Python from its second execution on "
+             f"(default: {DEFAULT_CODEGEN})",
     )
     parser.add_argument(
         "--optimizer", choices=OPTIMIZER_MODES, default="heuristic",

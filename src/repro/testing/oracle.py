@@ -18,7 +18,8 @@ independent spec-oracle semantics, no algebra involved).  The
 exception is ``collection``: sharding changes the data, so the
 scatter-gather leg is compared against ``collection_ref``, the very
 same shard stores evaluated in-process and merged identically.  The
-workers run generated Python wherever a plan lowers and the reference
+workers run a per-shard plan's repeat tasks as generated Python
+wherever it lowers (its first task interprets) and the reference
 interprets, so the pair also checks the two backends against each
 other.  On ungoverned runs the scatter overlaps a second,
 pruning-disabled submission of the same query from another thread, and
@@ -37,6 +38,7 @@ agreement; a non-``ReproError`` exception anywhere is always reported
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -443,13 +445,18 @@ class DifferentialRunner:
                 ))
                 for shard, stored in enumerate(self._shard_stores)
             )
+        root = self._root(route)
+        if route.codegen != "off":
+            # "auto" emits a plan on its second execution; the row runs
+            # each query once, so emit up front to test generated code.
+            engine.compile(
+                query, namespaces=self.options.namespace_map(), target=root,
+            ).ensure_generated()
         if route.sink == "batch":
             return canonical_value(engine.evaluate_concurrent(
-                [query], self._root(route), self.options, max_workers=2,
+                [query], root, self.options, max_workers=2,
             )[0])
-        return canonical_value(
-            engine.evaluate(query, self._root(route), self.options)
-        )
+        return canonical_value(engine.evaluate(query, root, self.options))
 
     def _scatter(self, engine: XPathEngine, query: str) -> tuple:
         """The collection's canonical answer: one ``(shard id, canonical
@@ -463,8 +470,15 @@ class DifferentialRunner:
         multiplexing can change an answer unnoticed.  Governed runs skip
         the overlap: a tripped limit may legally surface on either
         submission, which would make their comparison meaningless.
+        Instead they submit the query once before the answer that
+        counts, so that answer comes from each per-shard plan's second
+        task: generated worker code, budget trips included.
         """
         if self.options.governed():
+            with contextlib.suppress(ReproError):
+                engine.evaluate_collection(
+                    query, self._collection, self.options
+                )
             return engine.evaluate_collection(
                 query, self._collection, self.options
             ).canonical()

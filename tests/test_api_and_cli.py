@@ -123,6 +123,39 @@ class TestCLI:
         ) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_baseline_engine_rejects_only_an_explicit_codegen(
+        self, xml_file, capsys
+    ):
+        # The engine default is codegen="auto"; a baseline interpreter
+        # has no backend to pick, so only a --codegen it was given is
+        # an error.
+        assert run_cli(
+            ["--engine", "naive", "count(//item)", str(xml_file)]
+        ) == 0
+        assert capsys.readouterr().out.strip() == "2"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([
+                "--engine", "naive", "--codegen", "auto", "count(//item)",
+                str(xml_file),
+            ])
+        assert exit_info.value.code == 2
+        assert "--codegen requires a session engine" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.multiprocess
+    @pytest.mark.parametrize("codegen", [[], ["--codegen", "force"]])
+    def test_collection_mode(self, xml_file, tmp_path, capsys, codegen):
+        # Shard workers pick their own backend, so --collection runs
+        # with the default and with any explicit --codegen.
+        assert run_cli([
+            *codegen, "--collection", str(tmp_path / "shop"), "--shards",
+            "2", "--repeat", "2", "//item/@price", str(xml_file),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[shard 0] price: 3", "[shard 1] price: 9",
+        ]
+
     def test_store_mode(self, xml_file, tmp_path, capsys):
         store = tmp_path / "shop.natix"
         assert run_cli(

@@ -10,6 +10,9 @@ store, and both vs the in-memory answer.
 """
 
 import random
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -140,25 +143,105 @@ class TestLifecycle:
             compiled.evaluate(DOC.root, {}, {}, codegen="sometimes")
 
     def test_engine_counts_compiled_executions(self):
+        # "auto" interprets a plan's first execution (counted neither
+        # way) and runs it as generated Python from the second on.
         engine = XPathEngine(codegen="auto")
+        engine.evaluate("//b", DOC)
+        assert engine.compile("//b", target=DOC).codegen_state == "pending"
+        counters = engine.stats().runtime_counters
+        assert counters.get("codegen_compiled", 0) == 0
+        assert counters.get("codegen_fallbacks", 0) == 0
+        assert counters.get("codegen_executions", 0) == 0
         engine.evaluate("//b", DOC)
         engine.evaluate("//b", DOC)
         stats = engine.stats()
         assert stats.runtime_counters["codegen_compiled"] == 2
+        assert stats.runtime_counters.get("codegen_fallbacks", 0) == 0
         assert stats.runtime_counters.get("codegen_executions", 0) == 2
         assert stats.cache.misses == 1  # generated fn reused via the cache
 
     def test_off_mode_never_compiles(self):
-        engine = XPathEngine()  # codegen defaults to "off"
+        engine = XPathEngine(codegen="off")
+        engine.evaluate("//b", DOC)
         engine.evaluate("//b", DOC)
         counters = engine.stats().runtime_counters
         assert counters.get("codegen_compiled", 0) == 0
         assert counters.get("codegen_executions", 0) == 0
+        assert engine.compile("//b", target=DOC).codegen_state == "pending"
 
     def test_per_call_override_beats_engine_default(self):
-        engine = XPathEngine()  # off by default
+        engine = XPathEngine(codegen="off")
         engine.evaluate("//b", DOC, EvalOptions(codegen="force"))
         assert engine.stats().runtime_counters["codegen_compiled"] == 1
+
+    def test_plans_executed_once_are_never_emitted(self, monkeypatch):
+        # The compile_cold guard: a default engine evaluating distinct
+        # queries once each must not pay emission for any of them, yet
+        # emits the plan it executes a second time (default "auto").
+        from repro import codegen as pycodegen
+
+        generate_python = pycodegen.generate_python
+        emitted = []
+
+        def recording_generate(*args, **kwargs):
+            emitted.append(args)
+            return generate_python(*args, **kwargs)
+
+        monkeypatch.setattr(pycodegen, "generate_python", recording_generate)
+        queries = [
+            f"//{name}[{position}]"
+            for name in ("a", "b", "c", "d")
+            for position in range(1, 51)
+        ]
+        engine = XPathEngine()
+        for query in queries:
+            engine.evaluate(query, DOC)
+        assert len(set(queries)) == 200
+        assert engine.stats().compile_count == 200
+        assert emitted == []
+        engine.evaluate(queries[-1], DOC)
+        assert len(emitted) == 1
+
+    def test_racing_second_executions_emit_once(self, monkeypatch):
+        from repro import codegen as pycodegen
+
+        generate_python = pycodegen.generate_python
+        emitted = []
+
+        def slow_generate(*args, **kwargs):
+            emitted.append(args)
+            time.sleep(0.05)  # hold the window open for the others
+            return generate_python(*args, **kwargs)
+
+        monkeypatch.setattr(pycodegen, "generate_python", slow_generate)
+        engine = XPathEngine(coalesce=False)
+        expected = normalize_result(engine.evaluate("//a[b]", DOC))
+        racers = 4  # more threads than a small CI host has cores
+        barrier = threading.Barrier(racers, timeout=10)
+        results = []
+
+        def second_execution():
+            barrier.wait()
+            results.append(normalize_result(engine.evaluate("//a[b]", DOC)))
+
+        threads = [
+            threading.Thread(target=second_execution) for _ in range(racers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * racers
+        assert len(emitted) == 1
+        counters = engine.stats().runtime_counters
+        assert counters["codegen_compiled"] == racers
+        assert counters.get("codegen_fallbacks", 0) == 0
 
     @pytest.mark.parametrize(
         "entry", PAPER_FIGURES, ids=[entry.name for entry in PAPER_FIGURES]
@@ -358,7 +441,7 @@ def test_forced_index_plans_agree_on_fuzzed_queries(seed, tmp_path):
         namespaces=dict(DEFAULT_NAMESPACES),
     )
     generator = QueryGenerator(rng)
-    generated = XPathEngine(index="force", codegen="auto")
+    generated = XPathEngine(index="force", codegen="force")
     interpreted = XPathEngine(index="force", codegen="off")
     with open_store(path) as stored:
         for _ in range(150):
@@ -459,12 +542,16 @@ class TestFallback:
         return plan
 
     def test_auto_falls_back_and_counts(self):
+        # The first execution interprets before emission is tried, so
+        # only the second one, which meets the Γ, is a fallback.
         engine = XPathEngine(codegen="auto")
         self._plan_with_binary_group(engine)
-        result = engine.evaluate("//b", DOC)
-        assert normalize_result(result) == normalize_result(
-            evaluate("//b", DOC)
-        )
+        expected = normalize_result(evaluate("//b", DOC))
+        assert normalize_result(engine.evaluate("//b", DOC)) == expected
+        counters = engine.stats().runtime_counters
+        assert counters.get("codegen_fallbacks", 0) == 0
+        assert counters.get("codegen_compiled", 0) == 0
+        assert normalize_result(engine.evaluate("//b", DOC)) == expected
         counters = engine.stats().runtime_counters
         assert counters["codegen_fallbacks"] == 1
         assert counters.get("codegen_compiled", 0) == 0
@@ -478,6 +565,8 @@ class TestFallback:
     def test_unsupported_detail_is_recorded(self):
         engine = XPathEngine(codegen="auto")
         plan = self._plan_with_binary_group(engine)
+        engine.evaluate("//b", DOC)
+        assert plan.codegen_state == "pending"
         engine.evaluate("//b", DOC)
         assert plan.codegen_state == "unsupported"
         assert "BinaryGroup" in plan.codegen_detail
@@ -520,6 +609,8 @@ class TestGovernance:
         document = parse_document("<a>" + "<b/>" * 20 + "</a>")
         engine = XPathEngine()
         options = EvalOptions(max_tuples=5, codegen=codegen)
+        # An ungoverned first execution: "auto" emits on the second.
+        engine.evaluate(query, document, EvalOptions(codegen=codegen))
         with pytest.raises(QueryBudgetError):
             if surface == "evaluate":
                 engine.evaluate(query, document, options)

@@ -416,21 +416,24 @@ def _patch_unlowerable(monkeypatch):
 
 class TestGeneratedBackend:
     def test_scatter_queries_run_generated(self, dblp_collection):
-        """Every scattered task of the ledger's queries runs as
-        generated Python; pruned shards count neither way."""
+        """A per-shard plan's first task interprets and counts neither
+        way; from the second on every scattered task of the ledger's
+        queries runs as generated Python.  Pruned shards count neither
+        way."""
         engine = XPathEngine()
         for query in SCATTER_QUERIES:
-            before = dblp_collection.stats()
-            engine.evaluate_collection(query, dblp_collection)
-            after = dblp_collection.stats()
-            scattered = (
-                after.submitted - before.submitted
-                - (after.shards_pruned - before.shards_pruned)
-            )
-            assert scattered == (1 if query == "//needle" else 4)
-            assert (after.codegen_compiled - before.codegen_compiled
-                    == scattered), query
-            assert after.codegen_fallbacks == before.codegen_fallbacks
+            for run_generated in (False, True):
+                before = dblp_collection.stats()
+                engine.evaluate_collection(query, dblp_collection)
+                after = dblp_collection.stats()
+                scattered = (
+                    after.submitted - before.submitted
+                    - (after.shards_pruned - before.shards_pruned)
+                )
+                assert scattered == (1 if query == "//needle" else 4)
+                assert (after.codegen_compiled - before.codegen_compiled
+                        == (scattered if run_generated else 0)), query
+                assert after.codegen_fallbacks == before.codegen_fallbacks
         payload = engine.stats().to_dict()["collection"]
         assert payload["codegen_compiled"] == after.codegen_compiled
         assert payload["codegen_fallbacks"] == 0
@@ -452,13 +455,15 @@ class TestGeneratedBackend:
             reference = canonical_value(
                 XPathEngine(index="off").evaluate(query, stored.root)
             )
-            for _ in range(2):  # a plan-cache miss, then a hit
+            # A plan-cache miss interprets without trying emission; the
+            # hits try it, fail, and report a fallback.
+            for expected in (None, False, False):
                 payload, generated = worker._run_query(
                     stored, 0, "auto", plan_cache, shipped, None, None,
                     (None, None, None, None), [-1], 1,
                 )
                 assert payload == reference
-                assert generated is False
+                assert generated is expected
         (compiled,) = plan_cache.values()
         assert compiled.codegen_state == "unsupported"
         assert "BinaryGroup" in compiled.codegen_detail
@@ -476,9 +481,14 @@ class TestGeneratedBackend:
             parse_document(CORPUS_XML), directory, shards=2
         )
         with Collection(directory, workers=1) as collection:
+            first = collection.evaluate("//name")
+            interpreted = collection.stats()
             result = collection.evaluate("//name")
             stats = collection.stats()
+        assert first.merged() == result.merged()
         assert len(result.merged()) == 24
+        # Each shard's first task interprets without trying emission.
+        assert interpreted.codegen_fallbacks == 0
         assert stats.codegen_fallbacks == 2
         assert stats.codegen_compiled == 0
 

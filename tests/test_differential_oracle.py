@@ -11,7 +11,8 @@ hand-written sample) on the routes that matter for whole documents:
   shared plan cache, singleflight coalescing),
 * ``server`` — the same page file behind the streaming HTTP front end
   and its default engine (``index="auto"``, ``optimizer="heuristic"``,
-  interpreted), the configuration ``python -m repro.server`` serves,
+  ``codegen="auto"``; streamed pages interpret), the configuration
+  ``python -m repro.server`` serves,
 
 each against the ``naive`` spec interpreter.  A single divergence
 anywhere is a bug in translation, storage, the concurrent plumbing or
@@ -20,9 +21,18 @@ the wire protocol; the assertion reports every divergent query at once.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import XPathEngine, parse_document
+from repro.errors import ReproError
+from repro.testing.documents import DocumentGenerator, build_document
+from repro.testing.grammar import (
+    DEFAULT_NAMESPACES,
+    DEFAULT_VARIABLES,
+    QueryGenerator,
+)
 from repro.testing.oracle import DifferentialRunner
 from repro.workloads import generate_dblp, generate_document
 from repro.workloads.querygen import (
@@ -91,3 +101,37 @@ def test_oracle_covers_node_and_scalar_results(corpus):
         engine.evaluate(query, runner.document.root) for query in queries
     ]
     assert any(isinstance(result, list) and result for result in results)
+
+
+def test_codegen_rows_run_generated_code():
+    """``compiled`` and ``cost`` evaluate each query once, which
+    ``codegen="auto"`` alone would interpret (it emits on a plan's
+    second execution): every query whose plan lowers must still run
+    as generated Python on both rows."""
+    rng = random.Random(7)
+    document = build_document(DocumentGenerator(rng).generate_spec())
+    generator = QueryGenerator(rng)
+    queries = list(dict.fromkeys(generator.query() for _ in range(60)))
+    with DifferentialRunner(
+        document, variables=DEFAULT_VARIABLES,
+        namespaces=DEFAULT_NAMESPACES, routes=("naive", "compiled", "cost"),
+    ) as runner:
+        assert not runner.check_batch(queries)
+        for name, target in (
+            ("compiled", document.root), ("cost", runner._stored.root),
+        ):
+            engine = runner._engines[name]
+            executions = engine.stats().runtime_counters.get(
+                "codegen_executions", 0
+            )
+            lowering = 0
+            for query in queries:
+                try:
+                    plan = engine.compile(
+                        query, namespaces=DEFAULT_NAMESPACES, target=target,
+                    )
+                except ReproError:
+                    continue
+                lowering += plan.ensure_generated() is not None
+            assert lowering > len(queries) // 2, name
+            assert executions == lowering, name

@@ -425,6 +425,7 @@ class TestCollectionTarget:
             reference = engine.evaluate_collection(
                 "//item/name", collection
             ).merged()
+            first = collection.stats()
             with start_in_thread(
                 {"coll": collection}, engine=engine,
                 config=ServerConfig(port=0, page_size=7),
@@ -449,10 +450,13 @@ class TestCollectionTarget:
         assert stats["server"]["targets"] == {"coll": "collection"}
         collection_stats = stats["engine"]["collection"]
         assert collection_stats["shard_count"] == 3
-        # Every shard task behind both answers ran as generated Python.
+        # The reference's shard tasks were each plan's first: they
+        # interpreted.  Every shard task behind the served answer ran
+        # as generated Python.
+        assert first.codegen_compiled == first.codegen_fallbacks == 0
         assert collection_stats["codegen_compiled"] == (
-            collection_stats["completed"]
-        )
+            collection_stats["completed"] - first.completed
+        ) > 0
         assert collection_stats["codegen_fallbacks"] == 0
 
 
