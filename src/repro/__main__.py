@@ -36,6 +36,7 @@ from repro import (
     parse_document,
     store_document,
 )
+from repro.api import _SESSION_ENGINES
 from repro.dom.node import Node, NodeKind
 from repro.dom.serializer import serialize
 from repro.engine.options import (
@@ -45,12 +46,6 @@ from repro.engine.options import (
 )
 from repro.errors import ReproError
 from repro.xpath.datamodel import number_to_string
-
-#: Engines the CLI runs through the session layer (plan cache + stats).
-_SESSION_ENGINES = {
-    "natix": TranslationOptions.improved,
-    "natix-canonical": TranslationOptions.canonical,
-}
 
 
 def _render_node(node: Node) -> str:

@@ -155,10 +155,13 @@ def _interpreter_engine(interpreter_class):
     return factory
 
 
-register_engine("natix", _compiled_engine(TranslationOptions.improved))
-register_engine(
-    "natix-canonical", _compiled_engine(TranslationOptions.canonical)
-)
+#: The engines with a session path, by the translation each defaults to.
+_SESSION_ENGINES = {
+    "natix": TranslationOptions.improved,
+    "natix-canonical": TranslationOptions.canonical,
+}
+for _name, _translation in _SESSION_ENGINES.items():
+    register_engine(_name, _compiled_engine(_translation))
 register_engine("naive", _interpreter_engine(NaiveInterpreter))
 register_engine("memo", _interpreter_engine(MemoInterpreter))
 
@@ -288,6 +291,40 @@ def compile_xpath(
     return compiled
 
 
+def _resolve(eval_options, caller: str) -> Tuple[EvalOptions, str]:
+    """A one-shot helper's :class:`EvalOptions` and registered engine
+    name; anything other than an ``EvalOptions`` is a ``TypeError``, an
+    unregistered engine a ``ValueError``."""
+    resolved = eval_options if eval_options is not None else EvalOptions()
+    if not isinstance(resolved, EvalOptions):
+        raise TypeError(
+            f"{caller}() takes its per-call configuration as an "
+            f"EvalOptions, got {type(resolved).__name__!r}"
+        )
+    name = resolved.engine or "natix"
+    get_engine_factory(name)
+    return resolved, name
+
+
+def _session(resolved: EvalOptions, name: str,
+             options: Optional[TranslationOptions], needs: str,
+             lacks: str) -> XPathEngine:
+    """A throwaway :class:`XPathEngine` for one helper call, configured
+    from ``resolved``; ``name`` must be a session engine."""
+    if name not in _SESSION_ENGINES:
+        raise ValueError(
+            f"{needs} requires a session engine "
+            f"({sorted(_SESSION_ENGINES)}); {name!r} has no {lacks}"
+        )
+    return XPathEngine(
+        options if options is not None else _SESSION_ENGINES[name](),
+        coalesce=False,
+        index=resolved.index or "auto",
+        codegen=resolved.codegen or DEFAULT_CODEGEN,
+        optimizer=resolved.optimizer or "heuristic",
+    )
+
+
 def evaluate(
     query: str,
     target: Union[Document, Node],
@@ -312,52 +349,19 @@ def evaluate(
     ``"natix-canonical"`` (the baseline interpreters have no
     cooperative checkpoints and no plans to route or compile).
     """
-    resolved = eval_options if eval_options is not None else EvalOptions()
-    if not isinstance(resolved, EvalOptions):
-        raise TypeError(
-            "evaluate() takes its per-call configuration as an "
-            f"EvalOptions, got {type(resolved).__name__!r}"
-        )
-    node = resolve_context_node(target)
-    name = resolved.engine or "natix"
-    needs_algebraic = (
-        resolved.governed()
-        or resolved.index is not None
-        or resolved.codegen is not None
-        or resolved.optimizer is not None
-    )
-    if needs_algebraic:
-        if name not in ("natix", "natix-canonical"):
-            raise ValueError(
-                "timeout/max_tuples/max_bytes/cancel/index/codegen/"
-                "optimizer require an algebraic engine ('natix' or "
-                f"'natix-canonical'), got {name!r}"
-            )
-        if options is None:
-            options = (
-                TranslationOptions.canonical()
-                if name == "natix-canonical"
-                else TranslationOptions.improved()
-            )
-        if resolved.index is not None or resolved.optimizer is not None:
-            session = XPathEngine(
-                options,
-                index=resolved.index or "auto",
-                codegen=resolved.codegen or DEFAULT_CODEGEN,
-                optimizer=resolved.optimizer or "heuristic",
-            )
-            return session.evaluate(query, target, resolved)
-        compiled = XPathCompiler(options).compile(query)
-        return compiled.evaluate(
-            node,
-            resolved.variables,
-            resolved.namespace_map(),
-            governor=resolved.governor(),
-            codegen=resolved.codegen or DEFAULT_CODEGEN,
-        )
+    resolved, name = _resolve(eval_options, "evaluate")
+    if (resolved.governed() or resolved.index is not None
+            or resolved.codegen is not None
+            or resolved.optimizer is not None):
+        return _session(
+            resolved, name, options,
+            "timeout/max_tuples/max_bytes/cancel/index/codegen/optimizer",
+            "governance checkpoints, index routing or generated code",
+        ).evaluate(query, target, resolved)
     runner = get_engine_factory(name)()
     return runner(
-        query, node, resolved.variables, resolved.namespace_map(), options
+        query, resolve_context_node(target), resolved.variables,
+        resolved.namespace_map(), options,
     )
 
 
@@ -379,19 +383,13 @@ def evaluate_concurrent(
     between batches.  Governance limits apply per query, with the
     deadline anchored at submission (queue wait counts).
     """
-    resolved = eval_options if eval_options is not None else EvalOptions()
-    engine = XPathEngine(
-        options,
-        index=resolved.index or "auto",
-        codegen=resolved.codegen or DEFAULT_CODEGEN,
-        optimizer=resolved.optimizer or "heuristic",
-    )
-    return engine.evaluate_concurrent(
-        queries,
-        target,
-        resolved,
-        max_workers=max_workers,
-        return_exceptions=return_exceptions,
+    resolved, name = _resolve(eval_options, "evaluate_concurrent")
+    return _session(
+        resolved, name, options, "evaluate_concurrent()",
+        "concurrent evaluation path",
+    ).evaluate_concurrent(
+        queries, target, resolved,
+        max_workers=max_workers, return_exceptions=return_exceptions,
     )
 
 

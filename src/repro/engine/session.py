@@ -9,9 +9,8 @@ workload the way production XPath engines do (whole-query reuse, see
   (:class:`~repro.engine.cache.StripedPlanCache`) keyed by
   ``(query, TranslationOptions, namespace signature)`` with per-shard
   hit, miss, eviction and lookup counters,
-* **batch evaluation** — :meth:`XPathEngine.evaluate_many` compiles
-  each distinct query once and shares one
-  :class:`~repro.engine.context.ExecutionContext` across the batch,
+* **batch evaluation** — :meth:`XPathEngine.evaluate_many` runs a
+  query sequence as one governed run under one shared governor,
 * **concurrent evaluation** — :meth:`XPathEngine.evaluate_concurrent`
   fans a batch out over a ``ThreadPoolExecutor``; compiled plans are
   shared across threads but every thread executes its own plan
@@ -47,6 +46,7 @@ from typing import (
     Hashable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -64,7 +64,6 @@ from repro.engine.cache import (
     ShardStats,
     StripedPlanCache,
 )
-from repro.engine.context import ExecutionContext
 from repro.engine.options import (
     CODEGEN_MODES,
     DEFAULT_CODEGEN,
@@ -118,9 +117,6 @@ def _env_default_timeout() -> Optional[float]:
 #: Targets ``evaluate`` accepts: a node, or anything document-like.
 EvalTarget = Union[Document, Node, object]
 
-_NamespaceSig = Tuple[Tuple[str, str], ...]
-_PlanKey = Tuple[str, TranslationOptions, _NamespaceSig, Optional[str]]
-
 #: The request of a call that passed no :class:`EvalOptions`.
 _NO_OPTIONS = EvalOptions()
 
@@ -158,14 +154,6 @@ def resolve_context_node(target: EvalTarget) -> Node:
         f"cannot evaluate against {type(target).__name__!r}: expected a "
         "Node or a document-like object with a 'root' node"
     )
-
-
-def _namespace_signature(
-    namespaces: Optional[Mapping[str, str]]
-) -> _NamespaceSig:
-    if not namespaces:
-        return ()
-    return tuple(sorted(namespaces.items()))
 
 
 # ----------------------------------------------------------------------
@@ -250,12 +238,18 @@ class EngineStats:
 
 
 class _InflightCall:
-    """One in-flight evaluation other callers can wait on."""
+    """One in-flight evaluation other callers can wait on.
 
-    __slots__ = ("event", "result", "error")
+    ``done`` is a latch: the leader holds it from creation until the
+    result (or error) is in, and a follower waits by passing through
+    it — a bare lock costs a twentieth of a ``threading.Event``.
+    """
+
+    __slots__ = ("done", "result", "error")
 
     def __init__(self):
-        self.event = threading.Event()
+        self.done = threading.Lock()
+        self.done.acquire()
         self.result: Optional[XPathValue] = None
         self.error: Optional[BaseException] = None
 
@@ -284,10 +278,10 @@ class Singleflight:
             call = self._calls.get(key)
             leader = call is None
             if leader:
-                call = _InflightCall()
-                self._calls[key] = call
+                call = self._calls[key] = _InflightCall()
         if not leader:
-            call.event.wait()
+            with call.done:
+                pass
             if call.error is not None:
                 raise call.error
             return call.result, False
@@ -304,7 +298,7 @@ class Singleflight:
         finally:
             with self._lock:
                 self._calls.pop(key, None)
-            call.event.set()
+            call.done.release()
         return call.result, True
 
 
@@ -333,10 +327,11 @@ class _Scope:
         "notes", "start",
     )
 
-    def __init__(self, engine: "XPathEngine", plan=None, node=None,
-                 collection=None, tags: Tuple[str, ...] = ()):
+    def __init__(self, engine: "XPathEngine", node, collection,
+                 tags: Tuple[str, ...]):
         self.engine = engine
-        self.plan = plan
+        #: The last plan the run executed (none for a collection).
+        self.plan: Optional[CompiledQuery] = None
         self.node = node
         self.collection = collection
         #: Counters that grow with ``queries_submitted``.
@@ -355,10 +350,8 @@ class _Scope:
         """Account what one execution ran, as
         :meth:`CompiledQuery.backend` reports it: generated code, a
         fallback to the interpreter, or (``None``) neither."""
-        if generated is True:
-            self.note("codegen_compiled")
-        elif generated is False:
-            self.note("codegen_fallbacks")
+        if generated is not None:
+            self.note("codegen_compiled" if generated else "codegen_fallbacks")
 
     def note_estimation(self, plan: CompiledQuery, result) -> None:
         """Track the cost optimizer's estimation error against reality.
@@ -419,6 +412,65 @@ class _Scope:
 
 
 # ----------------------------------------------------------------------
+# Requests
+# ----------------------------------------------------------------------
+
+
+class _Request(NamedTuple):
+    """One evaluation as data: every public entry point builds one and
+    hands it to :meth:`XPathEngine._run`.
+
+    The ``sink`` is what the caller gets back: ``"value"`` (the
+    result), ``"pages"`` (a generator of result pages), ``"count"``
+    (the number of result tuples) or ``"batch"`` (one result per query
+    of a sequence, all under one governor).
+    """
+
+    #: The query text; a sequence of them for the ``batch`` sink.
+    query: Union[str, Sequence[str]]
+    #: A node or document-like object, or a collection (``collection``).
+    target: object
+    sink: str
+    #: The call's options after :meth:`XPathEngine._request` folded in
+    #: the engine's defaults.
+    eval_options: EvalOptions
+    options: Optional[TranslationOptions] = None
+    ordered: bool = False
+    page_size: int = DEFAULT_PAGE_SIZE
+    collection: bool = False
+
+
+#: The counters a run's scope adds to, by (collection target, paged).
+_TAGS = {
+    (False, False): (),
+    (False, True): ("stream_queries",),
+    (True, False): ("collection_queries",),
+    (True, True): ("collection_queries", "stream_queries"),
+}
+
+#: :meth:`XPathEngine._run`'s default: build the governor at run time.
+_AT_RUN = object()
+
+
+def _pages(items, page_size: int):
+    """Cut ``items`` — a lazy iterator or a list — into lists of at
+    most ``page_size``, pulling no item before its page is due.
+
+    The first page is yielded even when empty, so every stream yields
+    at least once (and a collection stream always delivers its result
+    kind).
+    """
+    iterator = iter(items)
+    page = list(islice(iterator, page_size))
+    yield page
+    while len(page) == page_size:
+        page = list(islice(iterator, page_size))
+        if not page:
+            return
+        yield page
+
+
+# ----------------------------------------------------------------------
 # The engine session
 # ----------------------------------------------------------------------
 
@@ -459,19 +511,15 @@ class XPathEngine:
         default_max_bytes: Optional[int] = None,
     ):
         self.options = options or TranslationOptions()
-        if index not in INDEX_MODES:
-            raise ValueError(
-                f"index must be one of {INDEX_MODES}, got {index!r}"
-            )
-        if codegen not in CODEGEN_MODES:
-            raise ValueError(
-                f"codegen must be one of {CODEGEN_MODES}, got {codegen!r}"
-            )
-        if optimizer not in OPTIMIZER_MODES:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZER_MODES}, "
-                f"got {optimizer!r}"
-            )
+        for name, value, valid in (
+            ("index", index, INDEX_MODES),
+            ("codegen", codegen, CODEGEN_MODES),
+            ("optimizer", optimizer, OPTIMIZER_MODES),
+        ):
+            if value not in valid:
+                raise ValueError(
+                    f"{name} must be one of {valid}, got {value!r}"
+                )
         #: "auto" — route name steps onto the target's structural
         #: indexes when the path synopsis says they prune; "force" —
         #: route every eligible step regardless of selectivity; "off" —
@@ -511,9 +559,7 @@ class XPathEngine:
         self._last_phase_seconds: Dict[str, float] = {}
         self._execution_count = 0
         self._execution_seconds = 0.0
-        self._engine_counters: Counter = Counter(
-            {name: 0 for name in GOVERNANCE_COUNTERS}
-        )
+        self._engine_counters = Counter(dict.fromkeys(GOVERNANCE_COUNTERS, 0))
         self._last_plan: Optional[CompiledQuery] = None
         self._last_buffer: Optional[BufferSnapshot] = None
         self._last_collection_stats = None
@@ -560,7 +606,8 @@ class XPathEngine:
         opts = options or self.options
         indexes = self._target_indexes(target)
         index_sig = indexes.signature if indexes is not None else None
-        key = (query, opts, _namespace_signature(namespaces), index_sig)
+        signature = tuple(sorted(namespaces.items())) if namespaces else ()
+        key = (query, opts, signature, index_sig)
         plan = self.cache.get(key)
         if plan is not None:
             return plan
@@ -575,23 +622,14 @@ class XPathEngine:
             self._last_phase_seconds = dict(compiled.phase_timings)
             report = compiled.optimizer_report
             if report is not None:
-                self._engine_counters["plans_index_routed"] += (
-                    1 if report.index_scans else 0
-                )
-                self._engine_counters["rewrite_index_scans"] += (
-                    report.index_scans
-                )
-                self._engine_counters["rewrite_index_skips"] += (
-                    report.index_skips
-                )
-                self._engine_counters["opt_rules_fired"] += (
-                    report.rules_fired
-                )
-                self._engine_counters["opt_rules_declined"] += (
-                    report.rules_declined
-                )
+                counters = self._engine_counters
+                counters["plans_index_routed"] += bool(report.index_scans)
+                counters["rewrite_index_scans"] += report.index_scans
+                counters["rewrite_index_skips"] += report.index_skips
+                counters["opt_rules_fired"] += report.rules_fired
+                counters["opt_rules_declined"] += report.rules_declined
                 if report.mode == "cost":
-                    self._engine_counters["plans_cost_optimized"] += 1
+                    counters["plans_cost_optimized"] += 1
         return compiled
 
     def explain(
@@ -656,6 +694,136 @@ class XPathEngine:
             timeout=timeout, max_tuples=max_tuples, max_bytes=max_bytes
         )
 
+    def _run(self, request: _Request, governor=_AT_RUN):
+        """Run one request: the engine's one execution pipeline.
+
+        Compile every query through the plan cache (a collection
+        compiles and ships its own per-shard plans), resolve the
+        context node, build the governor, then run inside one
+        :class:`_Scope` (:meth:`_flow`).  ``value`` requests go through
+        the singleflight; ``pages`` requests come back as a generator
+        whose scope opens at the first ``next()``.
+
+        A caller that anchored the deadline itself — at submission, as
+        :meth:`evaluate_concurrent` does — passes that ``governor``;
+        such a run is its own flight and never coalesced.
+
+        The singleflight key holds the query, the target (a node by
+        ``id`` — the leader keeps it alive for the flight, so the id
+        cannot be recycled mid-call — a collection by fingerprint), the
+        result order, the translation options and the folded
+        :class:`EvalOptions`: calls that differ in backend, namespaces,
+        limits or cancel token never share a flight (a tightly-limited
+        leader would fail loosely-limited followers).  Calls with
+        variables are never coalesced (their values may be unhashable
+        node-sets).
+        """
+        options = request.eval_options
+        sink = request.sink
+        if sink == "pages" and request.page_size < 1:
+            raise ValueError(
+                f"page_size must be >= 1, got {request.page_size}"
+            )
+        plans = node = None
+        if not request.collection:
+            namespaces = options.namespace_map()
+            queries = request.query if sink == "batch" else (request.query,)
+            plans = [
+                self.compile(query, options=request.options,
+                             namespaces=namespaces, target=request.target)
+                for query in queries
+            ]
+            node = resolve_context_node(request.target)
+        coalesce = governor is _AT_RUN
+        if coalesce:
+            governor = options.governor()
+        if sink == "pages":
+            return self._flow(request, plans, node, governor)
+
+        def run() -> XPathValue:
+            [result] = self._flow(request, plans, node, governor)
+            return result
+
+        if (not coalesce or sink != "value" or not self.coalesce
+                or options.variables):
+            return run()
+        target = request.target.fingerprint if node is None else id(node)
+        result, led = self._singleflight.do(
+            (request.query, target, request.ordered,
+             request.options or self.options, options),
+            run,
+        )
+        if led:
+            return result
+        with self._lock:
+            self._engine_counters["coalesced_requests"] += 1
+        return list(result) if isinstance(result, list) else result
+
+    def _flow(self, request: _Request, plans, node, governor):
+        """The governed run of ``request`` inside its accounting scope.
+
+        A generator for every sink: a ``pages`` request yields its
+        pages and its scope lives as long as the stream; any other
+        yields its one result, and draining it closes the scope.  Each
+        plan's backend is picked once (:meth:`CompiledQuery.backend`),
+        counted, and then run as chosen.
+        """
+        options = request.eval_options
+        sink = request.sink
+        collection = request.target if request.collection else None
+        tags = _TAGS[collection is not None, sink == "pages"]
+        with _Scope(self, node, collection, tags) as scope:
+            if collection is not None:
+                result = collection.evaluate(
+                    request.query, variables=options.variables,
+                    namespaces=options.namespace_map(),
+                    options=request.options, timeout=options.timeout,
+                    max_tuples=options.max_tuples,
+                    max_bytes=options.max_bytes, cancel=options.cancel,
+                )
+                if sink == "pages":
+                    items, kind = result.merged(), result.kind
+            else:
+                codegen = options.codegen or self.codegen_mode
+                if sink == "pages":
+                    codegen = "off"  # the generated backend materializes
+                variables = options.variables
+                namespaces = options.namespace_map()
+                results = []
+                scope.executions = 0
+                for plan in plans:
+                    scope.plan = plan
+                    scope.executions += 1
+                    _, generated = plan.backend(codegen)
+                    mode = "force" if generated else "off"
+                    if sink == "count":
+                        result = plan.count(
+                            node, variables, namespaces, governor, mode
+                        )
+                    elif sink == "pages":
+                        result = plan.evaluate_stream(
+                            node, variables, namespaces, request.ordered,
+                            governor,
+                        )
+                    else:
+                        result = plan.evaluate(
+                            node, variables, namespaces,
+                            ordered=request.ordered, governor=governor,
+                            codegen=mode,
+                        )
+                    scope.note_codegen(generated)
+                    scope.note_estimation(plan, result)
+                    results.append(result)
+                if sink == "batch":
+                    result = results
+                items, kind = result, None
+            if sink != "pages":
+                yield result
+                return
+            for page in _pages(items, request.page_size):
+                scope.note("stream_pages")
+                yield page if kind is None else (kind, page)
+
     def evaluate(
         self,
         query: str,
@@ -692,32 +860,10 @@ class XPathEngine:
         share the leader's deadline, including a governance error if it
         trips.
         """
-        request = self._request(eval_options)
-        codegen = request.codegen or self.codegen_mode
-        namespaces = request.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=namespaces, target=target,
-        )
-        node = resolve_context_node(target)
-
-        def run() -> XPathValue:
-            return self._execute(
-                plan, node, request.variables, namespaces, ordered,
-                request.governor(), codegen,
-            )
-
-        key = self._coalesce_key(
-            request, options, query, id(node), ordered, codegen
-        )
-        if key is None:
-            return run()
-        result, led = self._singleflight.do(key, run)
-        if not led:
-            with self._lock:
-                self._engine_counters["coalesced_requests"] += 1
-            if isinstance(result, list):
-                return list(result)
-        return result
+        return self._run(_Request(
+            query, target, "value", self._request(eval_options), options,
+            ordered,
+        ))
 
     def evaluate_stream(
         self,
@@ -763,49 +909,10 @@ class XPathEngine:
         abandoned, half-consumed stream counts as completed on close; a
         stream that is never pulled counts nothing).
         """
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        request = self._request(eval_options)
-        namespaces = request.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=namespaces, target=target,
-        )
-        return self._stream_pages(
-            plan, resolve_context_node(target), request.variables,
-            namespaces, page_size, ordered, request.governor(),
-        )
-
-    def _stream_pages(
-        self, plan, node, variables, namespaces, page_size, ordered,
-        governor,
-    ):
-        """Generator body of :meth:`evaluate_stream`."""
-        with _Scope(self, plan, node, tags=("stream_queries",)):
-            items = plan.evaluate_stream(
-                node, variables, namespaces,
-                ordered=ordered, governor=governor,
-            )
-            yield from self._pages(items, page_size)
-
-    def _pages(self, items, page_size: int):
-        """Cut ``items`` — a lazy iterator or a list — into lists of at
-        most ``page_size``, pulling no item before its page is due.
-
-        The first page is yielded even when empty, so every stream
-        yields at least once (and a collection stream always delivers
-        its result kind).
-        """
-        iterator = iter(items)
-        page = list(islice(iterator, page_size))
-        while True:
-            with self._lock:
-                self._engine_counters["stream_pages"] += 1
-            yield page
-            if len(page) < page_size:
-                return
-            page = list(islice(iterator, page_size))
-            if not page:
-                return
+        return self._run(_Request(
+            query, target, "pages", self._request(eval_options), options,
+            ordered, page_size,
+        ))
 
     def evaluate_many(
         self,
@@ -817,43 +924,18 @@ class XPathEngine:
     ) -> List[XPathValue]:
         """Evaluate a batch of queries against one target, sequentially.
 
-        Each distinct query is compiled (or fetched) once and a single
-        :class:`ExecutionContext` is shared across the batch, so the
-        per-call setup cost is paid once instead of ``len(queries)``
-        times.  Results are returned in input order.  The governance
+        Each query's plan is compiled (or fetched) through the plan
+        cache before any of them runs, and results are returned in
+        input order.  The governance
         limits bound the batch *as a whole* — one shared governor, so
         ``timeout`` is a deadline for all of it and the budgets are
         cumulative across the queries; accordingly the batch is *one*
         governed run in the governance counters, while
         ``execution_count`` grows by the queries that ran.
         """
-        request = self._request(eval_options)
-        codegen = request.codegen or self.codegen_mode
-        namespaces = request.namespace_map()
-        node = resolve_context_node(target)
-        plans = [
-            self.compile(
-                query, options=options, namespaces=namespaces,
-                target=target,
-            )
-            for query in queries
-        ]
-        context = ExecutionContext(
-            context_node=node,
-            variables=dict(request.variables or {}),
-            namespaces=dict(namespaces or {}),
-            governor=request.governor(),
-        )
-        results: List[XPathValue] = []
-        with _Scope(self, node=node) as scope:
-            scope.executions = 0
-            for plan in plans:
-                scope.plan = plan
-                scope.executions += 1
-                runner, generated = plan.backend(codegen)
-                results.append(runner.execute(context))
-                scope.note_codegen(generated)
-        return results
+        return self._run(_Request(
+            queries, target, "batch", self._request(eval_options), options,
+        ))
 
     def evaluate_concurrent(
         self,
@@ -889,71 +971,28 @@ class XPathEngine:
         affected (budgets are per query, not shared).
         """
         request = self._request(eval_options)
-        codegen = request.codegen or self.codegen_mode
-        namespaces = request.namespace_map()
-        node = resolve_context_node(target)
-        if not queries:
-            return []
         distinct = list(dict.fromkeys(queries))
-        plans = {
-            query: self.compile(
-                query, options=options, namespaces=namespaces,
-                target=target,
-            )
-            for query in distinct
-        }
-        workers = max(
-            1, min(max_workers or self.max_workers, len(distinct))
-        )
-
-        # Submission-time admission control: one governor per distinct
-        # query, anchored *now* — queue wait counts against the deadline.
-        governors = {query: request.governor() for query in distinct}
-
-        def run_one(query: str) -> XPathValue:
-            return self._execute(
-                plans[query], node, request.variables, namespaces,
-                ordered, governors[query], codegen,
-            )
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-xpath"
-        ) as pool:
+        workers = max(1, min(max_workers or self.max_workers, len(distinct)))
+        with ThreadPoolExecutor(workers, "repro-xpath") as pool:
+            # Admission control: each query's governor is anchored at
+            # submission, so queue wait counts against its deadline.
             futures = {
-                query: pool.submit(run_one, query) for query in distinct
+                query: pool.submit(self._run, _Request(
+                    query, target, "value", request, options, ordered,
+                ), request.governor())
+                for query in distinct
             }
-            by_query = {}
-            first_error: Optional[BaseException] = None
-            for query, future in futures.items():
-                try:
-                    by_query[query] = future.result()
-                except BaseException as error:
-                    if not return_exceptions and first_error is None:
-                        first_error = error
-                    by_query[query] = error
+        outcomes = {q: f.exception() or f.result() for q, f in futures.items()}
         with self._lock:
             self._engine_counters["concurrent_batches"] += 1
             self._engine_counters["concurrent_executions"] += len(distinct)
-        if first_error is not None:
-            raise first_error
+        errors = [o for o in outcomes.values() if isinstance(o, BaseException)]
+        if errors and not return_exceptions:
+            raise errors[0]
         return [
-            list(result) if isinstance(result, list) else result
-            for result in (by_query[query] for query in queries)
+            list(outcome) if isinstance(outcome, list) else outcome
+            for outcome in map(outcomes.get, queries)
         ]
-
-    @staticmethod
-    def _scatter(query, collection, request, options):
-        """``collection.evaluate`` under the limits of ``request``."""
-        return collection.evaluate(
-            query,
-            variables=request.variables,
-            namespaces=request.namespace_map(),
-            options=options,
-            timeout=request.timeout,
-            max_tuples=request.max_tuples,
-            max_bytes=request.max_bytes,
-            cancel=request.cancel,
-        )
 
     def evaluate_collection(
         self,
@@ -997,24 +1036,10 @@ class XPathEngine:
         ``codegen_compiled`` / ``codegen_fallbacks`` counters report
         which backend ran.
         """
-        request = self._request(eval_options)
-
-        def run():
-            with _Scope(
-                self, collection=collection, tags=("collection_queries",)
-            ):
-                return self._scatter(query, collection, request, options)
-
-        key = self._coalesce_key(
-            request, options, "collection", query, collection.fingerprint
-        )
-        if key is None:
-            return run()
-        result, led = self._singleflight.do(key, run)
-        if not led:
-            with self._lock:
-                self._engine_counters["coalesced_requests"] += 1
-        return result
+        return self._run(_Request(
+            query, collection, "value", self._request(eval_options), options,
+            collection=True,
+        ))
 
     def evaluate_collection_stream(
         self,
@@ -1042,24 +1067,10 @@ class XPathEngine:
         Node-set results page over the merged records; scalar results
         page over the per-shard values in shard order.
         """
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        request = self._request(eval_options)
-        return self._collection_stream_pages(
-            query, collection, request, options, page_size
-        )
-
-    def _collection_stream_pages(
-        self, query, collection, request, options, page_size,
-    ):
-        """Generator body of :meth:`evaluate_collection_stream`."""
-        with _Scope(
-            self, collection=collection,
-            tags=("collection_queries", "stream_queries"),
-        ):
-            result = self._scatter(query, collection, request, options)
-            for page in self._pages(result.merged(), page_size):
-                yield result.kind, page
+        return self._run(_Request(
+            query, collection, "pages", self._request(eval_options), options,
+            page_size=page_size, collection=True,
+        ))
 
     def count(
         self,
@@ -1070,22 +1081,10 @@ class XPathEngine:
         options: Optional[TranslationOptions] = None,
     ) -> int:
         """Count result tuples without materializing them."""
-        request = self._request(eval_options)
-        codegen = request.codegen or self.codegen_mode
-        namespaces = request.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=namespaces, target=target,
-        )
-        node = resolve_context_node(target)
-        governor = request.governor()
-        with _Scope(self, plan, node) as scope:
-            _, generated = plan.backend(codegen)
-            result = plan.count(
-                node, variables=request.variables, namespaces=namespaces,
-                governor=governor, codegen="force" if generated else "off",
-            )
-            scope.note_codegen(generated)
-        return result
+        return self._run(_Request(
+            query, target, "count", self._request(eval_options), options,
+        ))
+
 
     # -- observability -------------------------------------------------
 
@@ -1120,9 +1119,8 @@ class XPathEngine:
             self._last_phase_seconds = {}
             self._execution_count = 0
             self._execution_seconds = 0.0
-            self._engine_counters.clear()
-            self._engine_counters.update(
-                {name: 0 for name in GOVERNANCE_COUNTERS}
+            self._engine_counters = Counter(
+                dict.fromkeys(GOVERNANCE_COUNTERS, 0)
             )
             self._last_buffer = None
             self._last_collection_stats = None
@@ -1132,64 +1130,6 @@ class XPathEngine:
 
     def clear_cache(self) -> None:
         self.cache.clear()
-
-    # ------------------------------------------------------------------
-
-    def _execute(
-        self,
-        plan: CompiledQuery,
-        node: Node,
-        variables: Optional[Mapping[str, XPathValue]],
-        namespaces: Optional[Mapping[str, str]],
-        ordered: bool,
-        governor,
-        codegen: str,
-    ) -> XPathValue:
-        """One governed plan execution inside its accounting scope."""
-        with _Scope(self, plan, node) as scope:
-            # Pick the backend once, count it, then run that choice.
-            _, generated = plan.backend(codegen)
-            result = plan.evaluate(
-                node, variables, namespaces, ordered=ordered,
-                governor=governor, codegen="force" if generated else "off",
-            )
-            scope.note_codegen(generated)
-            scope.note_estimation(plan, result)
-        return result
-
-    def _coalesce_key(
-        self,
-        request: EvalOptions,
-        options: Optional[TranslationOptions],
-        *what: Hashable,
-    ) -> Optional[Hashable]:
-        """The singleflight key, or None when coalescing is off.
-
-        ``what`` identifies the work apart from its request: the query,
-        the target and the result shape.  Calls with variables are never
-        coalesced (variable values may be unhashable node-sets).  A node
-        target enters by ``id`` — the leader keeps the node alive for
-        the duration of the flight, so the id cannot be recycled
-        mid-call — with the effective ``codegen`` backend next to it (a
-        forced-compiled call must not share a flight with an
-        interpreted one); a collection enters by fingerprint.  The
-        governance limits are part of the key: two calls with different
-        deadlines or budgets must never share a flight (a
-        tightly-limited leader would fail loosely-limited followers),
-        and a distinct cancel token keys a distinct flight for the same
-        reason.
-        """
-        if not self.coalesce or request.variables:
-            return None
-        cancel = request.cancel
-        return what + (
-            options or self.options,
-            request.namespaces or (),
-            request.timeout,
-            request.max_tuples,
-            request.max_bytes,
-            id(cancel) if cancel is not None else None,
-        )
 
 
 def _buffer_snapshot(node: Node) -> Optional[BufferSnapshot]:

@@ -356,6 +356,34 @@ class TestSessionCounters:
         assert counters["cost_estimate_abs_error"] == 0
         assert counters["plans_cost_optimized"] >= 1
 
+    def test_every_entry_point_records_estimates(self, tmp_path):
+        """The batch and concurrent paths account like ``evaluate``:
+        one recorded estimate per executed cost-optimized plan."""
+        document = parse_document(self.DOC_XML)
+        path = tmp_path / "doc.natix"
+        store_document(document, path, indexes=True)
+        engine = XPathEngine(
+            TranslationOptions.improved(), index="auto", optimizer="cost"
+        )
+        runs = [
+            lambda root: engine.evaluate("//item", root),
+            lambda root: engine.evaluate_many(["//item", "//section"], root),
+            lambda root: engine.evaluate_concurrent(["//item"], root),
+        ]
+        recorded = []
+        with open_store(path) as stored:
+            for run in runs:
+                before = engine.stats().runtime_counters.get(
+                    "cost_estimates_recorded", 0
+                )
+                run(stored.root)
+                recorded.append(
+                    engine.stats().runtime_counters[
+                        "cost_estimates_recorded"
+                    ] - before
+                )
+        assert recorded == [1, 2, 1]
+
     def test_heuristic_engine_records_no_estimates(self, tmp_path):
         document = parse_document(self.DOC_XML)
         path = tmp_path / "doc.natix"

@@ -12,6 +12,7 @@ import pytest
 from repro import (
     CancelToken,
     EvalOptions,
+    TranslationOptions,
     XPathEngine,
     build_indexes,
     evaluate,
@@ -96,6 +97,37 @@ class TestUniformAcceptance:
             ["count(//b)", "count(//c)"], DOC, EvalOptions(), max_workers=2
         )
         assert values == [2.0, 1.0]
+
+    @pytest.mark.parametrize("options, error", [
+        (EvalOptions(engine="no-such-engine"), ValueError),
+        (EvalOptions(engine="naive"), ValueError),
+        ({"timeout": 1.0}, TypeError),
+    ], ids=["unknown-engine", "interpreter", "dict"])
+    def test_evaluate_concurrent_one_shot_validates(self, options, error):
+        # The same resolution as one-shot evaluate(): only an
+        # EvalOptions naming a session engine is accepted.
+        with pytest.raises(error):
+            evaluate_concurrent(["count(//b)"], DOC, options)
+        if error is TypeError:
+            with pytest.raises(error):
+                evaluate("count(//b)", DOC, options)
+
+    def test_evaluate_concurrent_one_shot_honours_canonical(
+        self, monkeypatch
+    ):
+        translations = []
+        compile_plan = XPathEngine.compile
+
+        def recording(engine, query, **kwargs):
+            translations.append(kwargs.get("options") or engine.options)
+            return compile_plan(engine, query, **kwargs)
+
+        monkeypatch.setattr(XPathEngine, "compile", recording)
+        values = evaluate_concurrent(
+            ["count(//b)"], DOC, EvalOptions(engine="natix-canonical")
+        )
+        assert values == [2.0]
+        assert translations == [TranslationOptions.canonical()]
 
     def test_governance_rides_along(self):
         with pytest.raises(QueryBudgetError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro import (
     evaluate_concurrent,
     parse_document,
 )
+from repro.compiler import CompiledQuery
 from repro.engine import session as session_module
 from repro.errors import (
     QueryBudgetError,
@@ -272,20 +274,39 @@ class TestEvaluateGovernance:
         monkeypatch.delenv(session_module.TIMEOUT_ENV_VAR)
         assert XPathEngine().default_timeout is None
 
-    def test_coalesce_key_separates_governance_specs(self):
-        engine = XPathEngine()
-        node = SMALL.root
-        keys = {
-            engine._coalesce_key(
-                request, None, "//c", id(node), False, "off"
+    def test_coalesce_key_separates_governance_specs(self, monkeypatch):
+        """A slowed leader and followers that differ only in their
+        ``timeout`` never share a flight (a tightly limited leader must
+        not fail loosely limited followers); the same calls with equal
+        limits do, which shows the followers arrive mid-flight."""
+        evaluate_plan = CompiledQuery.evaluate
+
+        def coalesced(timeouts) -> int:
+            release = threading.Event()
+
+            def slowed(plan, *args, **kwargs):
+                release.wait(5)
+                return evaluate_plan(plan, *args, **kwargs)
+
+            monkeypatch.setattr(CompiledQuery, "evaluate", slowed)
+            engine = XPathEngine(codegen="off")
+            with ThreadPoolExecutor(max_workers=len(timeouts)) as pool:
+                futures = [
+                    pool.submit(
+                        engine.evaluate, "count(//c)", SMALL,
+                        EvalOptions(timeout=timeout),
+                    )
+                    for timeout in timeouts
+                ]
+                time.sleep(0.2)
+                release.set()
+                assert [future.result() for future in futures] == [3.0] * 3
+            return engine.stats().runtime_counters.get(
+                "coalesced_requests", 0
             )
-            for request in (
-                EvalOptions(),
-                EvalOptions(timeout=1.0),
-                EvalOptions(timeout=2.0),
-            )
-        }
-        assert len(keys) == 3
+
+        assert coalesced((None, 30.0, 31.0)) == 0
+        assert coalesced((30.0, 30.0, 30.0)) >= 1
 
 
 class TestOneShotApiGovernance:
