@@ -7,7 +7,7 @@ Examples::
     python -m repro --explain '/a/b[position() = last()]'
     python -m repro --store catalog.natix '//book' catalog.xml
     python -m repro --explain-stats --repeat 10 '//book' catalog.xml
-    python -m repro --repeat 64 --workers 4 '//book' catalog.xml
+    python -m repro --collection shards/ --workers 4 '//book' catalog.xml
     python -m repro --codegen force --repeat 100 '//book' catalog.xml
 
 Evaluation runs through an :class:`~repro.engine.session.XPathEngine`
@@ -122,8 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="run the --repeat evaluations through a thread pool of N "
-             "workers (session engines only)",
+        help="worker processes serving a --collection (default: 1)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -177,11 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if arguments.workers < 1:
         parser.error("--workers must be at least 1")
-    if arguments.workers > 1 and arguments.engine not in _SESSION_ENGINES:
+    if arguments.workers > 1 and not arguments.collection:
         parser.error(
-            f"--workers requires a session engine "
-            f"({sorted(_SESSION_ENGINES)}); {arguments.engine!r} has no "
-            "concurrent evaluation path"
+            "--workers sets the worker processes of a --collection; "
+            "without --collection there is nothing to spread"
         )
     governed = (
         arguments.timeout is not None or arguments.max_tuples is not None
@@ -373,15 +371,8 @@ def _run_query(arguments, target) -> None:
             default_timeout=arguments.timeout,
             default_max_tuples=arguments.max_tuples,
         )
-        if arguments.workers > 1:
-            batch = [arguments.query] * max(1, arguments.repeat)
-            results = session.evaluate_concurrent(
-                batch, target, max_workers=arguments.workers
-            )
-            result = results[-1]
-        else:
-            for _ in range(max(1, arguments.repeat)):
-                result = session.evaluate(arguments.query, target)
+        for _ in range(max(1, arguments.repeat)):
+            result = session.evaluate(arguments.query, target)
     else:
         eval_options = EvalOptions(engine=name)
         for _ in range(max(1, arguments.repeat)):

@@ -19,16 +19,17 @@ instruments every layer::
     engine = XPathEngine()
     engine.evaluate("count(/a/b)", doc)        # compiles and caches
     engine.evaluate("count(/a/b)", doc)        # plan-cache hit
-    engine.evaluate_many(["/a/b", "//b"], doc) # batch, shared context
-    engine.evaluate_concurrent(               # thread-pool batch
-        ["/a/b", "//b", "count(//b)"], doc, max_workers=4
+    engine.evaluate_many(["/a/b", "//b"], doc) # batch, one shared governor
+    engine.evaluate_concurrent(               # batch, each distinct query
+        ["/a/b", "//b", "/a/b"], doc          # once, per-query governors
     )
     print(engine.stats().to_json(indent=2))
 
-One engine may be shared across threads: the plan cache is
-lock-striped, each thread executes its own instance of a cached plan,
-and concurrent identical ``evaluate`` calls are coalesced into a single
-execution (see ``docs/concurrency.md``).
+Both batch methods run their queries one after another in the calling
+thread.  One engine may be shared across the caller's threads: the
+plan cache is lock-striped, each thread executes its own instance of a
+cached plan, and concurrent identical ``evaluate`` calls are coalesced
+into a single execution (see ``docs/concurrency.md``).
 
 ``evaluate`` accepts an engine name to pick an evaluation strategy:
 ``"natix"`` (the algebraic engine with the improved translation, the
@@ -374,22 +375,22 @@ def evaluate_concurrent(
     options: Optional[TranslationOptions] = None,
     return_exceptions: bool = False,
 ) -> List[XPathValue]:
-    """One-shot concurrent evaluation of a query batch.
+    """One-shot evaluation of a query batch, each distinct query once.
 
     Convenience wrapper that spins up an ephemeral
-    :class:`XPathEngine` and fans the batch out over its thread pool
-    (see :meth:`XPathEngine.evaluate_concurrent`).  Serving workloads
-    should hold on to an engine instead, so the plan cache survives
-    between batches.  Governance limits apply per query, with the
-    deadline anchored at submission (queue wait counts).
+    :class:`XPathEngine` and runs the batch through it in the calling
+    thread (see :meth:`XPathEngine.evaluate_concurrent`).  Serving
+    workloads should hold on to an engine instead, so the plan cache
+    survives between batches.  Governance limits apply per query, with
+    each deadline starting when its query starts.  ``max_workers`` is
+    accepted for compatibility and ignored.
     """
     resolved, name = _resolve(eval_options, "evaluate_concurrent")
     return _session(
         resolved, name, options, "evaluate_concurrent()",
         "concurrent evaluation path",
     ).evaluate_concurrent(
-        queries, target, resolved,
-        max_workers=max_workers, return_exceptions=return_exceptions,
+        queries, target, resolved, return_exceptions=return_exceptions,
     )
 
 

@@ -144,9 +144,9 @@ def _make_governor(
     ``deadline`` is the collection deadline on the (system-wide)
     monotonic clock.  The worker re-derives its *remaining* budget from
     the deadline, so time a task spent waiting in the queue counts
-    against it — a governed scatter is bounded end to end, exactly like
-    ``evaluate_concurrent``'s submission-anchored governors.  A task
-    whose deadline already passed raises immediately.
+    against it — a governed scatter is bounded end to end, from the
+    moment the collection query was submitted.  A task whose deadline
+    already passed raises immediately.
     """
     timeout, deadline, max_tuples, max_bytes = limits
     remaining = None

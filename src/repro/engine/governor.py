@@ -79,8 +79,10 @@ class ResourceGovernor:
     ``timeout``
         seconds of wall time (``time.monotonic``) the evaluation may
         run.  The deadline is anchored at construction, so a governor
-        created at *submission* also bounds queue wait — that is the
-        admission-control behavior ``evaluate_concurrent`` relies on.
+        created at *submission* also bounds queue wait (a collection
+        scatter's shard tasks inherit such a deadline), while
+        ``evaluate_concurrent`` builds one as each of its queries
+        starts.
     ``max_tuples``
         total tuples produced across **all** operators of the plan (the
         engine's unit of work), not just result tuples.

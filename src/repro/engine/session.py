@@ -10,12 +10,13 @@ workload the way production XPath engines do (whole-query reuse, see
   ``(query, TranslationOptions, namespace signature)`` with per-shard
   hit, miss, eviction and lookup counters,
 * **batch evaluation** — :meth:`XPathEngine.evaluate_many` runs a
-  query sequence as one governed run under one shared governor,
-* **concurrent evaluation** — :meth:`XPathEngine.evaluate_concurrent`
-  fans a batch out over a ``ThreadPoolExecutor``; compiled plans are
-  shared across threads but every thread executes its own plan
-  *instance* (:attr:`~repro.compiler.pipeline.CompiledQuery.thread_physical`),
-  so iterator state is never shared,
+  query sequence one query after another under one shared governor,
+  and :meth:`XPathEngine.evaluate_concurrent` runs each distinct query
+  of a batch once, in the calling thread, under its own governor,
+* **thread confinement** — compiled plans are shared across the
+  caller's threads but every thread executes its own plan *instance*
+  (:attr:`~repro.compiler.pipeline.CompiledQuery.thread_physical`), so
+  iterator state is never shared,
 * **identical-request coalescing** — concurrent :meth:`evaluate` calls
   for the same ``(query, target)`` are collapsed into one execution
   whose result every caller shares (the singleflight pattern; safe
@@ -37,8 +38,8 @@ import json
 import os
 import threading
 import time
+import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import (
@@ -78,9 +79,6 @@ from repro.errors import (
     QueryTimeoutError,
 )
 from repro.xpath.datamodel import XPathValue
-
-#: Default thread-pool width of :meth:`XPathEngine.evaluate_concurrent`.
-DEFAULT_MAX_WORKERS = 4
 
 #: Default result-page size of :meth:`XPathEngine.evaluate_stream`
 #: (and of the network server built on it).
@@ -220,8 +218,6 @@ class EngineStats:
         """
         data = asdict(self)
         data["cache"] = self.cache.to_dict()
-        if self.buffer is not None:
-            data["buffer"] = self.buffer.to_dict()
         if self.collection is not None and hasattr(
             self.collection, "to_dict"
         ):
@@ -314,17 +310,17 @@ class _Scope:
     leaving counts exactly one of ``queries_completed`` /
     ``queries_timed_out`` / ``queries_cancelled`` / ``budget_aborts`` —
     so the four always sum back to ``queries_submitted`` — and records
-    the execution: count, wall time, last plan, and the buffer or
-    collection snapshot.  "Completed" means the run ended without a
-    governance abort: a query raising an ordinary evaluation error, or
-    a stream closed half-way, still completed its resource-governed
-    run.  The engine lock is taken twice per run, once on each side;
-    counters :meth:`note`\\ d in between ride on the second.
+    the execution: count, wall time, last plan, and the page-backed
+    document or the collection snapshot.  "Completed" means the run
+    ended without a governance abort: a query raising an ordinary
+    evaluation error, or a stream closed half-way, still completed its
+    resource-governed run.  The engine lock is taken twice per run,
+    once on each side; counters :meth:`note`\\ d in between ride on
+    the second.
     """
 
     __slots__ = (
-        "engine", "plan", "node", "collection", "tags", "executions",
-        "notes", "start",
+        "engine", "plan", "node", "collection", "tags", "notes", "start",
     )
 
     def __init__(self, engine: "XPathEngine", node, collection,
@@ -336,8 +332,6 @@ class _Scope:
         self.collection = collection
         #: Counters that grow with ``queries_submitted``.
         self.tags = tags
-        #: Plan executions this run stands for (a batch is one run).
-        self.executions = 1
         self.notes: Optional[Dict[str, int]] = None
 
     def note(self, counter: str, amount: int = 1) -> None:
@@ -389,8 +383,16 @@ class _Scope:
                 if issubclass(exc_type, error_type):
                     outcome = counter
                     break
-        # The snapshots take other objects' locks: read them first.
-        buffer = _buffer_snapshot(self.node)
+        # ``stats()`` snapshots the buffer of the last page-backed
+        # document; only StoredDocument has one.
+        node = self.node
+        if node is not None:
+            document = getattr(node, "document", None)
+            paged = (
+                weakref.ref(document)
+                if hasattr(document, "buffer_stats") else None
+            )
+        # The collection snapshot takes its locks: read it first.
         collection = self.collection
         collection_stats = (
             collection.stats() if collection is not None else None
@@ -401,12 +403,12 @@ class _Scope:
             counters[outcome] += 1
             if self.notes is not None:
                 counters.update(self.notes)
-            engine._execution_count += self.executions
+            engine._execution_count += 1
             engine._execution_seconds += elapsed
             if self.plan is not None:
                 engine._last_plan = self.plan
-            if self.node is not None:
-                engine._last_buffer = buffer
+            if node is not None:
+                engine._last_document = paged
             if collection is not None:
                 engine._last_collection_stats = collection_stats
 
@@ -421,13 +423,11 @@ class _Request(NamedTuple):
     hands it to :meth:`XPathEngine._run`.
 
     The ``sink`` is what the caller gets back: ``"value"`` (the
-    result), ``"pages"`` (a generator of result pages), ``"count"``
-    (the number of result tuples) or ``"batch"`` (one result per query
-    of a sequence, all under one governor).
+    result), ``"pages"`` (a generator of result pages) or ``"count"``
+    (the number of result tuples).
     """
 
-    #: The query text; a sequence of them for the ``batch`` sink.
-    query: Union[str, Sequence[str]]
+    query: str
     #: A node or document-like object, or a collection (``collection``).
     target: object
     sink: str
@@ -484,7 +484,7 @@ class XPathEngine:
         doc = parse_document("<a><b/><b/></a>")
         engine.evaluate("count(/a/b)", doc)      # compiles, caches
         engine.evaluate("count(/a/b)", doc)      # cache hit
-        engine.evaluate_concurrent(["/a/b", "//b"], doc, max_workers=2)
+        engine.evaluate_concurrent(["/a/b", "//b", "/a/b"], doc)
         print(engine.stats().to_json(indent=2))
 
     Thread safety: one engine may be shared freely across threads.  The
@@ -502,7 +502,6 @@ class XPathEngine:
         cache_shards: int = DEFAULT_SHARDS,
         *,
         coalesce: bool = True,
-        max_workers: int = DEFAULT_MAX_WORKERS,
         index: str = "auto",
         codegen: str = DEFAULT_CODEGEN,
         optimizer: str = "heuristic",
@@ -540,7 +539,6 @@ class XPathEngine:
         self.optimizer_mode: str = optimizer
         self.cache = StripedPlanCache(cache_size, cache_shards)
         self.coalesce = coalesce
-        self.max_workers = max_workers
         #: Engine-wide governance defaults, applied to every evaluation
         #: that does not override them per call.  ``default_timeout``
         #: falls back to the :data:`TIMEOUT_ENV_VAR` environment
@@ -561,7 +559,8 @@ class XPathEngine:
         self._execution_seconds = 0.0
         self._engine_counters = Counter(dict.fromkeys(GOVERNANCE_COUNTERS, 0))
         self._last_plan: Optional[CompiledQuery] = None
-        self._last_buffer: Optional[BufferSnapshot] = None
+        #: A weak reference to the last page-backed document evaluated.
+        self._last_document: Optional[weakref.ref] = None
         self._last_collection_stats = None
 
     # -- compilation ---------------------------------------------------
@@ -697,16 +696,17 @@ class XPathEngine:
     def _run(self, request: _Request, governor=_AT_RUN):
         """Run one request: the engine's one execution pipeline.
 
-        Compile every query through the plan cache (a collection
+        Compile the query through the plan cache (a collection
         compiles and ships its own per-shard plans), resolve the
         context node, build the governor, then run inside one
         :class:`_Scope` (:meth:`_flow`).  ``value`` requests go through
         the singleflight; ``pages`` requests come back as a generator
         whose scope opens at the first ``next()``.
 
-        A caller that anchored the deadline itself — at submission, as
-        :meth:`evaluate_concurrent` does — passes that ``governor``;
-        such a run is its own flight and never coalesced.
+        A caller that built the governor itself — one shared by a
+        batch, as :meth:`evaluate_many` does, or one per query of
+        :meth:`evaluate_concurrent` — passes that ``governor``; such a
+        run is its own flight and never coalesced.
 
         The singleflight key holds the query, the target (a node by
         ``id`` — the leader keeps it alive for the flight, so the id
@@ -724,24 +724,21 @@ class XPathEngine:
             raise ValueError(
                 f"page_size must be >= 1, got {request.page_size}"
             )
-        plans = node = None
+        plan = node = None
         if not request.collection:
-            namespaces = options.namespace_map()
-            queries = request.query if sink == "batch" else (request.query,)
-            plans = [
-                self.compile(query, options=request.options,
-                             namespaces=namespaces, target=request.target)
-                for query in queries
-            ]
+            plan = self.compile(
+                request.query, options=request.options,
+                namespaces=options.namespace_map(), target=request.target,
+            )
             node = resolve_context_node(request.target)
         coalesce = governor is _AT_RUN
         if coalesce:
             governor = options.governor()
         if sink == "pages":
-            return self._flow(request, plans, node, governor)
+            return self._flow(request, plan, node, governor)
 
         def run() -> XPathValue:
-            [result] = self._flow(request, plans, node, governor)
+            [result] = self._flow(request, plan, node, governor)
             return result
 
         if (not coalesce or sink != "value" or not self.coalesce
@@ -759,12 +756,12 @@ class XPathEngine:
             self._engine_counters["coalesced_requests"] += 1
         return list(result) if isinstance(result, list) else result
 
-    def _flow(self, request: _Request, plans, node, governor):
+    def _flow(self, request: _Request, plan, node, governor):
         """The governed run of ``request`` inside its accounting scope.
 
         A generator for every sink: a ``pages`` request yields its
         pages and its scope lives as long as the stream; any other
-        yields its one result, and draining it closes the scope.  Each
+        yields its one result, and draining it closes the scope.  The
         plan's backend is picked once (:meth:`CompiledQuery.backend`),
         counted, and then run as chosen.
         """
@@ -789,33 +786,26 @@ class XPathEngine:
                     codegen = "off"  # the generated backend materializes
                 variables = options.variables
                 namespaces = options.namespace_map()
-                results = []
-                scope.executions = 0
-                for plan in plans:
-                    scope.plan = plan
-                    scope.executions += 1
-                    _, generated = plan.backend(codegen)
-                    mode = "force" if generated else "off"
-                    if sink == "count":
-                        result = plan.count(
-                            node, variables, namespaces, governor, mode
-                        )
-                    elif sink == "pages":
-                        result = plan.evaluate_stream(
-                            node, variables, namespaces, request.ordered,
-                            governor,
-                        )
-                    else:
-                        result = plan.evaluate(
-                            node, variables, namespaces,
-                            ordered=request.ordered, governor=governor,
-                            codegen=mode,
-                        )
-                    scope.note_codegen(generated)
-                    scope.note_estimation(plan, result)
-                    results.append(result)
-                if sink == "batch":
-                    result = results
+                scope.plan = plan
+                _, generated = plan.backend(codegen)
+                mode = "force" if generated else "off"
+                if sink == "count":
+                    result = plan.count(
+                        node, variables, namespaces, governor, mode
+                    )
+                elif sink == "pages":
+                    result = plan.evaluate_stream(
+                        node, variables, namespaces, request.ordered,
+                        governor,
+                    )
+                else:
+                    result = plan.evaluate(
+                        node, variables, namespaces,
+                        ordered=request.ordered, governor=governor,
+                        codegen=mode,
+                    )
+                scope.note_codegen(generated)
+                scope.note_estimation(plan, result)
                 items, kind = result, None
             if sink != "pages":
                 yield result
@@ -924,18 +914,21 @@ class XPathEngine:
     ) -> List[XPathValue]:
         """Evaluate a batch of queries against one target, sequentially.
 
-        Each query's plan is compiled (or fetched) through the plan
-        cache before any of them runs, and results are returned in
-        input order.  The governance
-        limits bound the batch *as a whole* — one shared governor, so
-        ``timeout`` is a deadline for all of it and the budgets are
-        cumulative across the queries; accordingly the batch is *one*
-        governed run in the governance counters, while
-        ``execution_count`` grows by the queries that ran.
+        Each query is one :meth:`evaluate` of its own — compiled (or
+        fetched) through the plan cache, then run and counted as one
+        governed run — and results are returned in input order; the
+        first error stops the batch.  The governance limits bound the
+        batch *as a whole*: one governor built when the batch starts is
+        shared by every query, so ``timeout`` is a deadline for all of
+        it and the budgets are cumulative across the queries.
         """
-        return self._run(_Request(
-            queries, target, "batch", self._request(eval_options), options,
-        ))
+        request = self._request(eval_options)
+        governor = request.governor()
+        return [
+            self._run(_Request(query, target, "value", request, options),
+                      governor)
+            for query in queries
+        ]
 
     def evaluate_concurrent(
         self,
@@ -948,47 +941,40 @@ class XPathEngine:
         ordered: bool = False,
         return_exceptions: bool = False,
     ) -> List[XPathValue]:
-        """Evaluate a batch of queries through a thread pool.
+        """Evaluate each distinct query of a batch once, in the calling
+        thread.
 
-        Compiled plans are shared between workers, but each worker
-        thread executes its own plan instance with its own execution
-        context, so no iterator or register state ever crosses threads.
         Duplicate queries in the batch are executed once and their
         result is copied into every matching slot (same answer by
-        determinism).  Results are returned in input order; exceptions
-        from any worker propagate to the caller — unless
+        determinism).  Results are returned in input order.  The first
+        error stops the batch and propagates to the caller — unless
         ``return_exceptions=True``, which places each query's exception
-        in its result slot instead, so one timed-out query does not
-        discard its siblings' answers.
+        in its result slot instead and goes on, so one timed-out query
+        does not discard its siblings' answers.
 
-        Governance is *per query* with admission control: each query's
-        governor is built at submission time, so its ``timeout``
-        deadline covers time spent queued behind other work.  A query
-        that reaches a worker with its deadline already expired aborts
-        before opening its iterators.  A governed abort only ever fails
-        its own future — the worker thread is released back to the pool,
-        and neither the plan cache nor other queries in the batch are
-        affected (budgets are per query, not shared).
+        Governance is *per query*: each query's governor is built when
+        that query starts, so every query gets the whole ``timeout``
+        and its own budgets, and a governed abort fails only its own
+        slot — neither the plan cache nor the other queries are
+        affected.  ``max_workers`` is accepted for compatibility and
+        ignored (see ``docs/api.md``).
         """
         request = self._request(eval_options)
-        distinct = list(dict.fromkeys(queries))
-        workers = max(1, min(max_workers or self.max_workers, len(distinct)))
-        with ThreadPoolExecutor(workers, "repro-xpath") as pool:
-            # Admission control: each query's governor is anchored at
-            # submission, so queue wait counts against its deadline.
-            futures = {
-                query: pool.submit(self._run, _Request(
-                    query, target, "value", request, options, ordered,
-                ), request.governor())
-                for query in distinct
-            }
-        outcomes = {q: f.exception() or f.result() for q, f in futures.items()}
-        with self._lock:
-            self._engine_counters["concurrent_batches"] += 1
-            self._engine_counters["concurrent_executions"] += len(distinct)
-        errors = [o for o in outcomes.values() if isinstance(o, BaseException)]
-        if errors and not return_exceptions:
-            raise errors[0]
+        outcomes: Dict[str, object] = {}
+        try:
+            for query in dict.fromkeys(queries):
+                try:
+                    outcomes[query] = self._run(_Request(
+                        query, target, "value", request, options, ordered,
+                    ), request.governor())
+                except Exception as error:
+                    if not return_exceptions:
+                        raise
+                    outcomes[query] = error
+        finally:
+            with self._lock:
+                self._engine_counters["concurrent_batches"] += 1
+                self._engine_counters["concurrent_executions"] += len(outcomes)
         return [
             list(outcome) if isinstance(outcome, list) else outcome
             for outcome in map(outcomes.get, queries)
@@ -1093,6 +1079,12 @@ class XPathEngine:
         runtime_counters: Counter = Counter()
         for plan in self.cache.plans():
             runtime_counters.update(plan.stats)
+        last_document = self._last_document
+        document = last_document() if last_document is not None else None
+        buffer = (
+            BufferSnapshot(**document.buffer_stats())
+            if document is not None else None
+        )
         with self._lock:
             runtime_counters.update(self._engine_counters)
             operators = (
@@ -1107,7 +1099,7 @@ class XPathEngine:
                 execution_seconds=self._execution_seconds,
                 operators=operators,
                 runtime_counters=dict(runtime_counters),
-                buffer=self._last_buffer,
+                buffer=buffer,
                 collection=self._last_collection_stats,
             )
 
@@ -1122,7 +1114,7 @@ class XPathEngine:
             self._engine_counters = Counter(
                 dict.fromkeys(GOVERNANCE_COUNTERS, 0)
             )
-            self._last_buffer = None
+            self._last_document = None
             self._last_collection_stats = None
         self.cache.reset_counters()
         for plan in self.cache.plans():
@@ -1131,23 +1123,3 @@ class XPathEngine:
     def clear_cache(self) -> None:
         self.cache.clear()
 
-
-def _buffer_snapshot(node: Node) -> Optional[BufferSnapshot]:
-    """Buffer-manager counters when ``node`` is page-backed, else None."""
-    document = getattr(node, "document", None)
-    buffer = getattr(document, "buffer", None)
-    stats = getattr(buffer, "stats", None)
-    if stats is None:
-        return None
-    by_kind = None
-    stats_fn = getattr(document, "buffer_stats", None)
-    if stats_fn is not None:
-        by_kind = stats_fn().get("by_kind")
-    return BufferSnapshot(
-        hits=stats.hits,
-        misses=stats.misses,
-        evictions=stats.evictions,
-        cached_pages=buffer.cached_pages,
-        capacity=buffer.capacity,
-        by_kind=by_kind,
-    )

@@ -56,11 +56,7 @@ from typing import Dict, List, Mapping, Optional, Set
 from repro import __version__
 from repro.collection import Collection
 from repro.engine.governor import CancelToken
-from repro.engine.session import (
-    DEFAULT_MAX_WORKERS,
-    DEFAULT_PAGE_SIZE,
-    XPathEngine,
-)
+from repro.engine.session import DEFAULT_PAGE_SIZE, XPathEngine
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -96,7 +92,7 @@ class ServerConfig:
     port: int = 0  #: 0 — let the kernel pick (tests, benchmarks)
     page_size: int = DEFAULT_PAGE_SIZE  #: default result page size
     max_page_size: int = 4096  #: cap on per-request ``page_size``
-    workers: int = DEFAULT_MAX_WORKERS  #: evaluation threads
+    workers: int = 4  #: evaluation threads
     max_inflight: int = 8  #: per-client admission quota
     queue_depth: int = 16  #: server-wide executor queue bound
     default_timeout: Optional[float] = 30.0  #: admission deadline (s)

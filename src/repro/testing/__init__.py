@@ -11,8 +11,8 @@ the reproduction keeps that claim honest at scale.  It provides
   query through the rows of one route table
   (:data:`~repro.testing.oracle.ROUTES`: the naive interpreter, both
   translations, the stored, indexed, cost-optimized and generated-code
-  backends, thread-pool, collection and server evaluation) and reports
-  any row disagreeing with its reference,
+  backends, a two-thread batch, collection and server evaluation)
+  and reports any row disagreeing with its reference,
 * :mod:`~repro.testing.shrink` — a delta-debugging shrinker minimizing
   both the query AST and the document of a finding,
 * :mod:`~repro.testing.corpus` — the persistent regression corpus under

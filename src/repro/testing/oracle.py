@@ -8,7 +8,8 @@ spec interpreter), the engine configuration it evaluates with (a
 :class:`~repro.compiler.improved.TranslationOptions` preset plus the
 ``index``/``codegen``/``optimizer`` modes of an
 :class:`~repro.engine.session.XPathEngine`), and its sink (one
-``evaluate`` per query, or a real ``evaluate_concurrent`` batch).
+``evaluate`` per query, or an ``evaluate_concurrent`` batch run from
+two threads at once).
 Adding or deleting a backend is adding or deleting a row; see
 ``docs/testing.md`` for what each row exercises.
 
@@ -95,7 +96,8 @@ class Route:
     ``XPathEngine(translation(), index=, codegen=, optimizer=)``.
     ``sink`` is ``value`` (one ``evaluate`` per query) or ``batch``
     (``evaluate_concurrent``; :meth:`DifferentialRunner.check_batch`
-    runs a whole batch through the thread pool).  ``reference`` names
+    runs a whole batch from two threads at once on the row's engine,
+    so its cached plans execute on two threads).  ``reference`` names
     the row this one must agree with; a row without one is checked for
     crashes only.
     """
@@ -201,6 +203,28 @@ def _outcome_of_canonical(run: Callable[[], object]) -> Outcome:
         return Outcome("error", type(error).__name__, str(error))
     except Exception as error:  # noqa: BLE001 - crashes are findings
         return Outcome("crash", type(error).__name__, str(error))
+
+
+def _on_two_threads(run: Callable[[], object]) -> List[object]:
+    """``run()`` on this thread and on a second one, started together;
+    each call's result or ``Exception``, in that order."""
+    barrier = threading.Barrier(2)
+    results: List[object] = [None, None]
+
+    def call(slot: int) -> None:
+        try:
+            barrier.wait()
+            results[slot] = run()
+        except Exception as error:  # noqa: BLE001 - returned
+            results[slot] = error
+
+    thread = threading.Thread(
+        target=call, args=(1,), name="oracle-batch-leg"
+    )
+    thread.start()
+    call(0)
+    thread.join()
+    return results
 
 
 def _governance_abort(outcome: Outcome) -> bool:
@@ -454,7 +478,7 @@ class DifferentialRunner:
             ).ensure_generated()
         if route.sink == "batch":
             return canonical_value(engine.evaluate_concurrent(
-                [query], root, self.options, max_workers=2,
+                [query], root, self.options,
             )[0])
         return canonical_value(engine.evaluate(query, root, self.options))
 
@@ -558,13 +582,14 @@ class DifferentialRunner:
     def batch_outcomes(
         self, queries: Sequence[str]
     ) -> List[Dict[str, Outcome]]:
-        """:meth:`outcomes` of a batch; ``batch`` rows run as one real
-        thread-pool batch.
+        """:meth:`outcomes` of a batch; a ``batch`` row runs it as one
+        ``evaluate_concurrent`` call from each of two threads at once,
+        and a slot whose two answers differ is a crash.
 
         Queries whose reference outcome is not a value run one by one
-        on a batch row (a thread-pool batch propagates the first
-        exception, losing per-query attribution), and so does the whole
-        batch when it raises anyway.
+        on a batch row (a batch propagates the first exception, losing
+        per-query attribution), and so does the whole batch when
+        either call raises anyway.
         """
         batched = [
             route for route in self._rows.values() if route.sink == "batch"
@@ -583,21 +608,26 @@ class DifferentialRunner:
                 if outcomes[route.reference].kind == "value"
             ]
             engine = self._engines[route.name]
-            values: Dict[int, XPathValue] = {}
-            if clean:
-                try:
-                    values = dict(zip(clean, engine.evaluate_concurrent(
-                        [queries[slot] for slot in clean],
-                        self._root(route), self.options, max_workers=4,
-                    )))
-                except Exception:  # noqa: BLE001 - fall back per query
-                    pass
+            batch = [queries[slot] for slot in clean]
+            root = self._root(route)
+            runs = _on_two_threads(lambda: [
+                canonical_value(value) for value in
+                engine.evaluate_concurrent(batch, root, self.options)
+            ])
+            values: Dict[int, Tuple[object, ...]] = {}
+            if not any(isinstance(run, Exception) for run in runs):
+                values = dict(zip(clean, zip(*runs)))
             for slot, query in enumerate(queries):
-                per_query[slot][route.name] = (
-                    Outcome("value", canonical_value(values[slot]))
-                    if slot in values
-                    else self._outcome(route, query)
-                )
+                if slot not in values:
+                    outcome = self._outcome(route, query)
+                elif values[slot][0] != values[slot][1]:
+                    outcome = Outcome(
+                        "crash", "AssertionError",
+                        "the two threads' batches disagree",
+                    )
+                else:
+                    outcome = Outcome("value", values[slot][0])
+                per_query[slot][route.name] = outcome
         return per_query
 
     def check(self, query: str) -> List[Divergence]:

@@ -1,6 +1,7 @@
 """Tests for the public API facade and the command-line interface."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -155,6 +156,20 @@ class TestCLI:
         assert capsys.readouterr().out.splitlines() == [
             "[shard 0] price: 3", "[shard 1] price: 9",
         ]
+
+    def test_repeat_evaluates_every_time(self, xml_file, capsys):
+        assert run_cli([
+            "--repeat", "3", "--explain-stats", "count(//item)",
+            str(xml_file),
+        ]) == 0
+        stats = json.loads(capsys.readouterr().err)
+        assert stats["execution_count"] == 3
+
+    def test_workers_require_a_collection(self, xml_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["--workers", "2", "count(//item)", str(xml_file)])
+        assert exit_info.value.code == 2
+        assert "--collection" in capsys.readouterr().err
 
     def test_store_mode(self, xml_file, tmp_path, capsys):
         store = tmp_path / "shop.natix"

@@ -11,8 +11,9 @@ The contracts exercised here:
   state (the regression this suite was built around);
 * the buffer manager serves concurrent readers with per-page images
   intact and monotone hit/miss accounting;
-* ``evaluate_concurrent`` keeps input order, propagates worker
-  exceptions, and coalesces identical concurrent requests.
+* ``evaluate_concurrent`` keeps input order, runs each distinct query
+  once in the calling thread and propagates the first exception, and
+  identical concurrent ``evaluate`` requests coalesce.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import XPathEngine, parse_document
+from repro.compiler import CompiledQuery
 from repro.errors import ReproError
 from repro.storage import DocumentStore
 from repro.workloads import generate_document
@@ -313,9 +315,11 @@ class TestStorageConcurrency:
             sequential = [
                 engine.evaluate(query, stored.root) for query in queries
             ]
-            concurrent = engine.evaluate_concurrent(
-                queries, stored.root, max_workers=4
-            )
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                concurrent = list(pool.map(
+                    lambda query: engine.evaluate(query, stored.root),
+                    queries,
+                ))
             assert concurrent == sequential
 
 
@@ -343,6 +347,21 @@ class TestEvaluateConcurrent:
 
     def test_empty_batch(self):
         assert XPathEngine().evaluate_concurrent([], DOC) == []
+
+    def test_every_query_runs_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        evaluate = CompiledQuery.evaluate
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledQuery, "evaluate", recording)
+        engine = XPathEngine()
+        engine.evaluate_concurrent(
+            ["count(//a)", "count(//b)", "count(//@id)"], DOC, max_workers=4
+        )
+        assert threads == [threading.get_ident()] * 3
 
 
 class TestSingleflightCoalescing:

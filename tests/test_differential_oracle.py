@@ -7,8 +7,9 @@ hand-written sample) on the routes that matter for whole documents:
 
 * ``improved`` — the algebraic engine on the in-memory document,
 * ``stored`` — the page file, buffer manager and record decoding,
-* ``concurrent`` — one real ``evaluate_concurrent`` batch (thread pool,
-  shared plan cache, singleflight coalescing),
+* ``concurrent`` — one ``evaluate_concurrent`` batch run from two
+  threads at once on one engine (shared plan cache, per-thread plan
+  instances),
 * ``server`` — the same page file behind the streaming HTTP front end
   and its default engine (``index="auto"``, ``optimizer="heuristic"``,
   ``codegen="auto"``; streamed pages interpret), the configuration

@@ -345,7 +345,7 @@ class TestOneShotApiGovernance:
 
 
 # ----------------------------------------------------------------------
-# evaluate_concurrent(): admission control and worker release
+# evaluate_concurrent(): per-query governors, isolated aborts
 # ----------------------------------------------------------------------
 
 
@@ -382,6 +382,17 @@ class TestConcurrentGovernance:
         assert isinstance(results[0], QueryBudgetError)
         assert results[1] == 800.0
         assert results[2] == 400.0
+
+    def test_each_query_gets_its_own_deadline(self):
+        # The deadline starts when each query starts, so a slow first
+        # query cannot expire the sibling that runs after it.
+        engine = XPathEngine()
+        results = engine.evaluate_concurrent(
+            [PATHOLOGICAL, "count(//c)"], BIG, EvalOptions(timeout=0.3),
+            return_exceptions=True,
+        )
+        assert isinstance(results[0], QueryTimeoutError)
+        assert results[1] == 800.0
 
     def test_admission_control_expired_deadline_skips_execution(self):
         # A governor anchored at submission whose deadline passed while
@@ -554,7 +565,7 @@ def test_counters_reconcile(
 
 
 # ----------------------------------------------------------------------
-# evaluate_many(): one shared governor per batch
+# evaluate_many(): one shared governor per batch, one run per query
 # ----------------------------------------------------------------------
 
 
@@ -568,6 +579,29 @@ class TestBatchGovernance:
                 BIG,
                 EvalOptions(max_tuples=1000),
             )
+
+    def test_each_query_is_one_governed_run(self):
+        engine = XPathEngine()
+        engine.evaluate_many(
+            ["count(//c)", "count(//b)", "count(/a/b)"], BIG
+        )
+        counters = engine.stats().runtime_counters
+        assert counters["queries_submitted"] == 3
+        assert counters["queries_completed"] == 3
+        assert engine.stats().execution_count == 3
+
+    def test_budget_trip_on_the_second_query_settles_it(self):
+        # count(/a/b) takes 405 tuples: the first fits in 600, the
+        # second trips the shared budget, the third never starts.
+        engine = XPathEngine()
+        with pytest.raises(QueryBudgetError):
+            engine.evaluate_many(
+                ["count(/a/b)"] * 3, BIG, EvalOptions(max_tuples=600)
+            )
+        counters = engine.stats().runtime_counters
+        assert counters["queries_submitted"] == 2
+        assert counters["queries_completed"] == 1
+        assert counters["budget_aborts"] == 1
 
     def test_ungoverned_batch_unaffected(self):
         engine = XPathEngine()
