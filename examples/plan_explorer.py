@@ -55,10 +55,9 @@ def main() -> None:
     print("=" * 72)
     print("NVM programs for //pub[year = '1991' and position() < 10]\n")
     for index, select in enumerate(selects):
-        physical = compiled.physical
         print(f"Selection subscript {index}: {select.predicate.unparse()}")
     # Compile one subscript's program for display.
-    from repro.compiler.codegen import CodeGenerator
+    from repro.compiler.physical import CodeGenerator
     from repro.engine.iterator import RuntimeState
     from repro.engine.tuples import AttributeManager
 

@@ -41,21 +41,26 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Callable, List, Sequence, Set
 
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
-from repro.algebra.properties import attributes, free_variables
 from repro.codegen import scalars
 from repro.codegen.runtime import base_namespace
-from repro.compiler.translate import (
-    TOP_CONTEXT_ATTR,
-    TOP_POSITION_ATTR,
-    TOP_SIZE_ATTR,
+from repro.compiler.physical import (
+    aggregate_input,
+    optional_slot,
+    owned_slots,
+    register_layout,
+    result_attr,
+    scalar_key_slots,
+    tmpcs_slots,
+    top_slots,
+    union_inputs,
 )
-from repro.engine.context import ExecutionContext
+from repro.engine.plan import collect_results, count_results
 from repro.engine.tuples import AttributeManager
-from repro.errors import CodegenError, ExecutionError
+from repro.errors import CodegenError
 from repro.xpath.axes import Axis, NodeTestKind, principal_node_kind
 
 
@@ -175,6 +180,7 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.manager = AttributeManager()
+        self.slot = self.manager.slot
         self._n = 0
         self._lines = 0
         #: Per-execution setup lines in the main function (memo dicts,
@@ -195,44 +201,8 @@ class _Emitter:
         self._n += 1
         return self._n
 
-    def slot(self, attr: str) -> int:
-        return self.manager.slot(attr)
-
     def local(self, attr: str) -> str:
         return f"r{self.manager.slot(attr)}"
-
-    def owned_slots(self, plan: ops.Operator) -> List[int]:
-        return sorted({self.slot(a) for a in attributes(plan)})
-
-    def _scalar_key_slots(self, expr: S.Scalar) -> List[int]:
-        names: Set[str] = set(S.referenced_attrs(expr))
-        for embedded in S.nested_plans(expr):
-            names |= free_variables(embedded.plan)
-        return sorted(self.slot(name) for name in names)
-
-    # -- register pre-pass ---------------------------------------------
-
-    def register(self, plan: ops.Operator) -> None:
-        """Replay the iterator backend's register aliasing, in its order.
-
-        Mirrors :class:`~repro.compiler.codegen.CodeGenerator`: union
-        result slots are allocated before their branches, projection
-        renames unify, and pure-aliasing maps alias — so owned-slot and
-        key-slot computations during emission see the final groups.
-        """
-        name = type(plan).__name__
-        if name == "Concat":
-            self.manager.slot(plan.result_attr)
-        elif name == "Project":
-            for new_name, old_name in plan.renames.items():
-                self.manager.unify(new_name, old_name)
-        elif name == "MapOp" and isinstance(plan.expr, S.SAttr):
-            self.manager.alias(plan.attr, plan.expr.name)
-        for child in plan.children():
-            self.register(child)
-        for sub in plan.subscripts():
-            for nested in S.nested_plans(sub):
-                self.register(nested.plan)
 
     # -- shared emission helpers ---------------------------------------
 
@@ -282,12 +252,10 @@ class _Emitter:
 
     def lower_nested(self, nested: S.SNested, fn: _Fn) -> str:
         """Emit a nested plan as a generator def; return the agg call."""
-        result_attr = nested.plan.result_attr
-        if result_attr is None:
-            raise CodegenUnsupported("nested plan lacks a result attribute")
+        attr = result_attr(nested.plan, "nested plan")
         i = self.uid()
         sub = _Fn(f"_np{i}", self)
-        result = self.local(result_attr)
+        result = self.local(attr)
         self.emit(nested.plan, sub, lambda f: f.w(f"yield {result}"))
         args = self.finalize_sub(sub)
         fn.defs.append(sub)
@@ -342,7 +310,7 @@ class _Emitter:
     def _emit_MapOp(self, plan: ops.MapOp, fn: _Fn,
                     consume: Consume) -> None:
         if isinstance(plan.expr, S.SAttr):
-            # Pure aliasing map: the register pre-pass already bound the
+            # Pure aliasing map: the register layout already bound the
             # new attribute to the same slot; no code.
             self.emit(plan.child, fn, consume)
             return
@@ -360,7 +328,7 @@ class _Emitter:
                      consume: Consume) -> None:
         i = self.uid()
         slot = self.slot(plan.attr)
-        key_slots = self._scalar_key_slots(plan.expr)
+        key_slots = scalar_key_slots(self.manager, plan.expr)
         # The memo lives for one whole plan execution (the interpreter
         # clears it in _prepare; a fresh dict per call is the same).
         self.hoist.append(f"_mm{i} = {{}}")
@@ -386,11 +354,7 @@ class _Emitter:
                      consume: Consume) -> None:
         i = self.uid()
         slot = self.slot(plan.attr)
-        ctx_slot = (
-            self.slot(plan.context_attr)
-            if plan.context_attr is not None
-            else None
-        )
+        ctx_slot = optional_slot(self.manager, plan.context_attr)
         fn.w(f"_pc{i} = 0")
         if ctx_slot is not None:
             fn.w(f"_pf{i} = True")
@@ -427,7 +391,7 @@ class _Emitter:
 
     def _emit_Project(self, plan: ops.Project, fn: _Fn,
                       consume: Consume) -> None:
-        # Renames were unified in the register pre-pass; like the
+        # Renames were unified in the register layout; like the
         # interpreter's PassThroughIt this emits nothing.
         self.emit(plan.child, fn, consume)
 
@@ -607,7 +571,7 @@ class _Emitter:
     def _emit_CrossProduct(self, plan: ops.CrossProduct, fn: _Fn,
                            consume: Consume) -> None:
         i = self.uid()
-        owned = self.owned_slots(plan.right)
+        owned = owned_slots(self.manager, plan.right)
         fn.w(f"_xb{i} = []")
 
         def collect(f: _Fn) -> None:
@@ -655,12 +619,7 @@ class _Emitter:
 
     def _emit_Concat(self, plan: ops.Concat, fn: _Fn,
                      consume: Consume) -> None:
-        self.slot(plan.result_attr)
-        for branch in plan.inputs:
-            if branch.result_attr is None:
-                raise CodegenUnsupported(
-                    "union branch lacks a result attribute"
-                )
+        for branch in union_inputs(plan):
             self.emit(branch, fn, consume)
 
     # -- materializing ops ---------------------------------------------
@@ -668,7 +627,7 @@ class _Emitter:
     def _emit_SortOp(self, plan: ops.SortOp, fn: _Fn,
                      consume: Consume) -> None:
         i = self.uid()
-        owned = self.owned_slots(plan.child)
+        owned = owned_slots(self.manager, plan.child)
         attr_slot = self.slot(plan.attr)
         fn.w(f"_sb{i} = []")
 
@@ -694,20 +653,7 @@ class _Emitter:
     def _emit_TmpCs(self, plan: ops.TmpCs, fn: _Fn,
                     consume: Consume) -> None:
         i = self.uid()
-        owned = self.owned_slots(plan.child)
-        cp_slot = self.slot(plan.cp_attr)
-        cs_slot = self.slot(plan.cs_attr)
-        ctx_slot = (
-            self.slot(plan.context_attr)
-            if plan.context_attr is not None
-            else None
-        )
-        if cp_slot not in owned:
-            raise CodegenUnsupported(
-                "Tmp^cs input does not carry its position register"
-            )
-        if ctx_slot is not None and ctx_slot not in owned:
-            owned = sorted(set(owned) | {ctx_slot})
+        owned, cp_slot, cs_slot, ctx_slot = tmpcs_slots(self.manager, plan)
         cp_pos = owned.index(cp_slot)
         ctx_pos = owned.index(ctx_slot) if ctx_slot is not None else None
         fn.w(f"_tb{i} = []")
@@ -747,11 +693,10 @@ class _Emitter:
 
     def _emit_Aggregate(self, plan: ops.Aggregate, fn: _Fn,
                         consume: Consume) -> None:
-        if plan.input_attr is None:
-            raise CodegenUnsupported("Aggregate requires an input attribute")
+        input_attr = aggregate_input(plan)
         i = self.uid()
         out_slot = self.slot(plan.attr)
-        source = self.local(plan.input_attr)
+        source = self.local(input_attr)
         sub = _Fn(f"_ag{i}", self)
         self.emit(plan.child, sub, lambda f: f.w(f"yield {source}"))
         args = self.finalize_sub(sub)
@@ -763,7 +708,7 @@ class _Emitter:
     def _emit_MemoX(self, plan: ops.MemoX, fn: _Fn,
                     consume: Consume) -> None:
         i = self.uid()
-        owned = self.owned_slots(plan.child)
+        owned = owned_slots(self.manager, plan.child)
         key_slots = [self.slot(a) for a in plan.key_attrs]
         self.hoist.append(f"_mx{i} = {{}}")
         key = ", ".join(f"_hashable(r{s})" for s in key_slots)
@@ -821,42 +766,15 @@ class GeneratedPlan:
             self.stats["index_skips"] += skips
             self.stats["index_candidates"] += candidates
 
-    def execute(self, context: ExecutionContext):
-        """Run the generated function; mirrors PhysicalPlan.execute."""
-        governor = context.governor
-        if governor is not None:
-            governor.check()
+    def rows(self, context):
+        """One execution: the generated function's result generator."""
         self.stats["codegen_executions"] += 1
-        gen = self.fn(context)
-        try:
-            if self.kind == "scalar":
-                for value in gen:
-                    return value
-                raise ExecutionError("scalar plan produced no tuple")
-            results = []
-            if governor is None:
-                results.extend(gen)
-            else:
-                for value in gen:
-                    results.append(value)
-                    governor.add_bytes(16)
-            return results
-        finally:
-            gen.close()
+        return self.fn(context)
 
-    def execute_count(self, context: ExecutionContext) -> int:
-        governor = context.governor
-        if governor is not None:
-            governor.check()
-        self.stats["codegen_executions"] += 1
-        count = 0
-        gen = self.fn(context)
-        try:
-            for _ in gen:
-                count += 1
-            return count
-        finally:
-            gen.close()
+    # The interpreter's driver (repro.engine.plan).  Streams interpret,
+    # so there is no execute_stream here yet.
+    execute = collect_results
+    execute_count = count_results
 
 
 def generate_python(translation, options=None,
@@ -872,10 +790,10 @@ def generate_python(translation, options=None,
         raise CodegenUnsupported("translation has no executable plan")
     emitter = _Emitter()
     try:
-        emitter.register(plan)
+        register_layout(plan, emitter.manager)
         main = _Fn("__plan__", emitter, params="ctx")
         result = emitter.local(translation.result_attr)
-        # GeneratedPlan.execute closes a scalar plan at its first yield,
+        # The driver closes a scalar plan at its first yield,
         # so the settle below never runs there: charge before yielding.
         settle = (
             ("_ev, _tu = _flush(_tu)",) if translation.kind == "scalar"
@@ -912,9 +830,7 @@ def generate_python(translation, options=None,
     preamble.extend(
         f"{name} = None" for name in _referenced_registers(main.lines)
     )
-    context_slot = manager.lookup(TOP_CONTEXT_ATTR)
-    position_slot = manager.lookup(TOP_POSITION_ATTR)
-    size_slot = manager.lookup(TOP_SIZE_ATTR)
+    context_slot, position_slot, size_slot = top_slots(manager)
     if context_slot is not None:
         preamble.append(f"r{context_slot} = ctx.context_node")
     if position_slot is not None:

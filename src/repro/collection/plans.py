@@ -34,7 +34,7 @@ from repro.compiler.normalize import normalize
 from repro.compiler.pipeline import (
     _SCALAR_RESULT_ATTR,
     CompiledQuery,
-    generate_physical,
+    XPathCompiler,
 )
 from repro.compiler.rewrite import fold_constants
 from repro.compiler.semantic import analyze
@@ -131,27 +131,15 @@ def compile_shipped(
 
     ``index_info`` is the worker's resident
     :class:`~repro.index.runtime.DocumentIndexes` for its shard (or
-    ``None``); the optimizer pass runs under the same trigger rule as
-    :meth:`XPathCompiler.compile` so index routing, forced-index modes
-    and the cost optimizer behave identically to single-document
-    serving.  The returned :class:`CompiledQuery` carries no AST
-    (``ast=None``) — evaluation only reads the translation and the
-    generated physical plan.
+    ``None``); the back end is :meth:`XPathCompiler.compile`'s own
+    (:meth:`~repro.compiler.pipeline.XPathCompiler.back_end`), so index
+    routing, forced-index modes and the cost optimizer behave
+    identically to single-document serving.  The returned
+    :class:`CompiledQuery` carries no AST (``ast=None``) — evaluation
+    only reads the translation and the generated physical plan.
     """
     query, options, translation = pickle.loads(shipped.blob)
-    optimizer_report = None
-    if (options.optimize or index_info is not None
-            or shipped.optimizer == "cost"):
-        from repro.compiler.optimize import optimize_plan
-
-        assert translation.plan is not None
-        translation.plan, optimizer_report = optimize_plan(
-            translation.plan,
-            index_info=index_info,
-            index_mode=shipped.index_mode,
-            optimizer=shipped.optimizer,
-        )
-    physical = generate_physical(translation, options)
-    compiled = CompiledQuery(query, None, translation, physical, options)
-    compiled.optimizer_report = optimizer_report
-    return compiled
+    compiler = XPathCompiler(
+        options, index_info, shipped.index_mode, shipped.optimizer
+    )
+    return compiler.back_end(query, None, translation, {})

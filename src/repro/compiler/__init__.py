@@ -1,13 +1,17 @@
 """The six-phase XPath compiler (paper section 5.1).
 
 (1) parsing — :mod:`repro.xpath.parser`,
-(2) normalization — :mod:`repro.compiler.normalize`,
-(3) semantic analysis — :mod:`repro.compiler.semantic`,
-(4) rewrite (constant folding) — :mod:`repro.compiler.rewrite`,
+(2) semantic analysis — :mod:`repro.compiler.semantic`,
+(3) rewrite (constant folding) — :mod:`repro.compiler.rewrite`,
+(4) normalization — :mod:`repro.compiler.normalize`,
 (5) translation into the algebra — :mod:`repro.compiler.translate`
     with the improved-translation policies in
     :mod:`repro.compiler.improved`,
-(6) code generation to an NQE plan — :mod:`repro.compiler.codegen`.
+(5b) optional plan optimization — :mod:`repro.compiler.optimize`
+    (cost model in :mod:`repro.compiler.cost`),
+(6) physical plan generation (register layout, NQE iterators) —
+    :mod:`repro.compiler.physical`; :mod:`repro.codegen` lowers the
+    same plan to Python over the same layout.
 
 :class:`repro.compiler.pipeline.XPathCompiler` orchestrates the phases.
 """

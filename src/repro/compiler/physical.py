@@ -1,11 +1,13 @@
-"""Phase 6: code generation — logical plans to NQE iterator trees.
+"""Phase 6: the physical lowering — register layout and NQE iterator trees.
 
 Responsibilities, mirroring the paper's section 5.1/5.2:
 
 * assign every attribute a register via the
   :class:`~repro.engine.tuples.AttributeManager`; renaming projections
   and aliasing maps (χ with a bare attribute subscript) become register
-  aliases — no copy operations are emitted,
+  aliases — no copy operations are emitted.  Both backends, the
+  :class:`CodeGenerator` here and :mod:`repro.codegen`, lay out
+  registers with :func:`bind_registers` and share the helpers below,
 * compile every scalar subscript, either to an NVM program (default) or
   to the tree-walking reference evaluator,
 * compile nested sequence-valued plans inside subscripts into nested
@@ -17,12 +19,13 @@ Responsibilities, mirroring the paper's section 5.1/5.2:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
 from repro.algebra.properties import attributes, free_variables
 from repro.compiler.improved import TranslationOptions
+from repro.compiler.translate import TOP_ATTRS
 from repro.engine import basic, index_scans, joins, materialize, scans, unnest
 from repro.engine.iterator import Iterator, RuntimeState
 from repro.engine.scans import SnapshotReplay
@@ -31,6 +34,115 @@ from repro.engine.tuples import AttributeManager
 from repro.errors import CodegenError
 from repro.nvm.compile_expr import compile_scalar
 from repro.nvm.machine import NVMSubscript
+
+
+# -- the layout both backends share -----------------------------------------
+
+
+def bind_registers(plan: ops.Operator, manager: AttributeManager) -> None:
+    """Bind the registers one operator shares instead of copying.
+
+    A union's result register is allocated before its branches, so
+    their subtrees write straight into it; renaming projections unify
+    (the direction depends on which side already has a register); pure
+    aliasing maps (χ with a bare attribute subscript, not χ^mat) bind
+    the new name to the existing register.  Every other attribute gets
+    its register when a backend first asks for it.  Called on an
+    operator before any of its inputs, whatever the traversal, the
+    alias groups come out the same.
+    """
+    kind = type(plan)
+    if kind is ops.Concat:
+        manager.slot(plan.result_attr)
+    elif kind is ops.Project:
+        for new_name, old_name in plan.renames.items():
+            manager.unify(new_name, old_name)
+    elif kind is ops.MapOp and isinstance(plan.expr, S.SAttr):
+        manager.alias(plan.attr, plan.expr.name)
+
+
+def register_layout(plan: ops.Operator, manager: AttributeManager) -> None:
+    """:func:`bind_registers` over a whole plan, in preorder, before it
+    is lowered — for a backend that computes owned and key slots of an
+    input before it lowers that input."""
+    bind_registers(plan, manager)
+    for child in plan.children():
+        register_layout(child, manager)
+    for sub in plan.subscripts():
+        for nested in S.nested_plans(sub):
+            register_layout(nested.plan, manager)
+
+
+def owned_slots(manager: AttributeManager, plan: ops.Operator) -> List[int]:
+    """Registers holding attributes produced inside ``plan``."""
+    return sorted({manager.slot(a) for a in attributes(plan)})
+
+
+def scalar_key_slots(manager: AttributeManager, expr: S.Scalar) -> List[int]:
+    """Registers that determine a subscript's value (memo keys)."""
+    names: Set[str] = set(S.referenced_attrs(expr))
+    for embedded in S.nested_plans(expr):
+        names |= free_variables(embedded.plan)
+    return sorted(manager.slot(name) for name in names)
+
+
+def optional_slot(
+    manager: AttributeManager, attr: Optional[str]
+) -> Optional[int]:
+    """The register of an optional attribute (``None`` when absent)."""
+    return None if attr is None else manager.slot(attr)
+
+
+def top_slots(manager: AttributeManager) -> Tuple[Optional[int], ...]:
+    """The registers of the top-level context node, position and size
+    (``None`` for each the plan never reads)."""
+    return tuple(manager.lookup(attr) for attr in TOP_ATTRS)
+
+
+def result_attr(plan: ops.Operator, role: str) -> str:
+    """The result attribute of a nested plan or union branch."""
+    if plan.result_attr is None:
+        raise CodegenError(f"{role} lacks a result attribute")
+    return plan.result_attr
+
+
+def union_inputs(plan: ops.Concat) -> Tuple[ops.Operator, ...]:
+    """A union's branches, each checked for a result attribute."""
+    for branch in plan.inputs:
+        result_attr(branch, "union branch")
+    return tuple(plan.inputs)
+
+
+def tmpcs_slots(
+    manager: AttributeManager, plan: ops.TmpCs
+) -> Tuple[List[int], int, int, Optional[int]]:
+    """A Tmp^cs's snapshot, position, size and context registers.
+
+    In stacked translations the grouping attribute comes from the
+    enclosing pipeline; it is snapshotted too, for group boundaries.
+    """
+    owned = owned_slots(manager, plan.child)
+    cp_slot = manager.slot(plan.cp_attr)
+    cs_slot = manager.slot(plan.cs_attr)
+    context_slot = optional_slot(manager, plan.context_attr)
+    if cp_slot not in owned:
+        raise CodegenError("Tmp^cs input does not carry its position register")
+    if context_slot is not None and context_slot not in owned:
+        owned = sorted(set(owned) | {context_slot})
+    return owned, cp_slot, cs_slot, context_slot
+
+
+def aggregate_input(plan: ops.Aggregate) -> str:
+    """The attribute an aggregate folds."""
+    if plan.input_attr is None:
+        raise CodegenError("Aggregate requires an input attribute")
+    return plan.input_attr
+
+
+# -- the NQE builder ----------------------------------------------------------
+
+#: Operator class -> its ``CodeGenerator._build_*`` method.
+_BUILDERS: Dict[type, Callable] = {}
 
 
 class CodeGenerator:
@@ -44,6 +156,7 @@ class CodeGenerator:
     ):
         self.runtime = runtime
         self.manager = manager
+        self._slot = manager.slot
         self.options = options or TranslationOptions()
         #: Iterators with cross-execution memo state (MatMap, MemoX).
         self.resettable: List[Iterator] = []
@@ -51,46 +164,36 @@ class CodeGenerator:
     # ------------------------------------------------------------------
 
     def build(self, plan: ops.Operator) -> Iterator:
-        """Recursively compile ``plan``."""
-        method = getattr(self, f"_build_{type(plan).__name__}", None)
+        """Recursively compile ``plan``.
+
+        An operator's registers are bound before its inputs are built,
+        and every input is built before its consumer computes owned or
+        key slots, so those see the final alias groups.
+        """
+        kind = type(plan)
+        method = _BUILDERS.get(kind)
         if method is None:
-            raise CodegenError(
-                f"no code generation for {type(plan).__name__}"
-            )
-        return method(plan)
+            method = getattr(CodeGenerator, f"_build_{kind.__name__}", None)
+            if method is None:
+                raise CodegenError(f"no code generation for {kind.__name__}")
+            _BUILDERS[kind] = method
+        bind_registers(plan, self.manager)
+        return method(self, plan)
 
     # -- helpers ---------------------------------------------------------
-
-    def _slot(self, attr: str) -> int:
-        return self.manager.slot(attr)
-
-    def _owned_slots(self, plan: ops.Operator) -> List[int]:
-        """Registers holding attributes produced inside ``plan``."""
-        slots: Set[int] = {self._slot(a) for a in attributes(plan)}
-        return sorted(slots)
 
     def _subscript(self, expr: S.Scalar) -> Subscript:
         """Compile a scalar subscript with its nested plans."""
         nested: Dict[int, NestedPlan] = {}
         for embedded in S.nested_plans(expr):
-            iterator = self.build(embedded.plan)
-            result_attr = embedded.plan.result_attr
-            if result_attr is None:
-                raise CodegenError("nested plan lacks a result attribute")
+            attr = result_attr(embedded.plan, "nested plan")
             nested[id(embedded)] = NestedPlan(
-                iterator, embedded.agg, self._slot(result_attr)
+                self.build(embedded.plan), embedded.agg, self._slot(attr)
             )
         slots = {name: self._slot(name) for name in S.referenced_attrs(expr)}
         if self.options.subscript_mode == "nvm":
             return NVMSubscript(compile_scalar(expr, slots, nested))
         return InterpSubscript(expr, slots, nested)
-
-    def _scalar_key_slots(self, expr: S.Scalar) -> List[int]:
-        """Registers that determine a subscript's value (memo keys)."""
-        names: Set[str] = set(S.referenced_attrs(expr))
-        for embedded in S.nested_plans(expr):
-            names |= free_variables(embedded.plan)
-        return sorted(self._slot(name) for name in names)
 
     # -- leaves ------------------------------------------------------------
 
@@ -110,9 +213,8 @@ class CodeGenerator:
 
     def _build_MapOp(self, plan: ops.MapOp) -> Iterator:
         if isinstance(plan.expr, S.SAttr):
-            # A pure aliasing map: bind the new attribute to the same
-            # register and emit no code (paper section 5.1).
-            self.manager.alias(plan.attr, plan.expr.name)
+            # A pure aliasing map: the layout bound the new attribute to
+            # the same register, so there is no code (paper section 5.1).
             return self.build(plan.child)
         child = self.build(plan.child)
         return basic.MapIt(
@@ -127,31 +229,24 @@ class CodeGenerator:
             child,
             self._slot(plan.attr),
             self._subscript(plan.expr),
-            self._scalar_key_slots(plan.expr),
+            scalar_key_slots(self.manager, plan.expr),
         )
         self.resettable.append(iterator)
         return iterator
 
     def _build_PosMap(self, plan: ops.PosMap) -> Iterator:
         child = self.build(plan.child)
-        context_slot = (
-            self._slot(plan.context_attr)
-            if plan.context_attr is not None
-            else None
+        return basic.PosMapIt(
+            self.runtime, child, self._slot(plan.attr),
+            optional_slot(self.manager, plan.context_attr),
         )
-        return basic.PosMapIt(self.runtime, child, self._slot(plan.attr),
-                              context_slot)
 
     def _build_ProjectDup(self, plan: ops.ProjectDup) -> Iterator:
         child = self.build(plan.child)
         return basic.ProjectDupIt(self.runtime, child, self._slot(plan.attr))
 
     def _build_Project(self, plan: ops.Project) -> Iterator:
-        # Renames become register sharing; the direction depends on which
-        # side was assigned first (e.g. a union attribute precedes its
-        # branch attributes).
-        for new_name, old_name in plan.renames.items():
-            self.manager.unify(new_name, old_name)
+        # The layout unified the renames; nothing is copied.
         child = self.build(plan.child)
         return basic.PassThroughIt(self.runtime, child)
 
@@ -200,48 +295,32 @@ class CodeGenerator:
         )
 
     def _build_SortOp(self, plan: ops.SortOp) -> Iterator:
-        # Build the child first: owned-slot computation must see the
-        # register aliases the child's compilation establishes.
         child = self.build(plan.child)
-        replayer = SnapshotReplay(self._owned_slots(plan.child))
+        replayer = SnapshotReplay(owned_slots(self.manager, plan.child))
         return materialize.SortIt(self.runtime, child,
                                   self._slot(plan.attr), replayer)
 
     def _build_TmpCs(self, plan: ops.TmpCs) -> Iterator:
         child = self.build(plan.child)
-        owned = self._owned_slots(plan.child)
-        cp_slot = self._slot(plan.cp_attr)
-        context_slot = (
-            self._slot(plan.context_attr)
-            if plan.context_attr is not None
-            else None
+        owned, cp_slot, cs_slot, context_slot = tmpcs_slots(
+            self.manager, plan
         )
-        if cp_slot not in owned:
-            raise CodegenError(
-                "Tmp^cs input does not carry its position register"
-            )
-        if context_slot is not None and context_slot not in owned:
-            # The grouping attribute comes from the enclosing pipeline in
-            # stacked translations; snapshot it as well so the group
-            # boundary detection sees it.
-            owned = sorted(set(owned) | {context_slot})
         return materialize.TmpCsIt(
-            self.runtime, child, self._slot(plan.cs_attr), cp_slot,
+            self.runtime, child, cs_slot, cp_slot,
             SnapshotReplay(owned), context_slot,
         )
 
     def _build_Aggregate(self, plan: ops.Aggregate) -> Iterator:
-        if plan.input_attr is None:
-            raise CodegenError("Aggregate requires an input attribute")
+        input_attr = aggregate_input(plan)
         child = self.build(plan.child)
         return materialize.AggregateIt(
             self.runtime, child, self._slot(plan.attr), plan.func,
-            self._slot(plan.input_attr),
+            self._slot(input_attr),
         )
 
     def _build_MemoX(self, plan: ops.MemoX) -> Iterator:
         child = self.build(plan.child)
-        replayer = SnapshotReplay(self._owned_slots(plan.child))
+        replayer = SnapshotReplay(owned_slots(self.manager, plan.child))
         iterator = materialize.MemoXIt(
             self.runtime, child,
             [self._slot(a) for a in plan.key_attrs], replayer,
@@ -259,7 +338,7 @@ class CodeGenerator:
     def _build_CrossProduct(self, plan: ops.CrossProduct) -> Iterator:
         left = self.build(plan.left)
         right = self.build(plan.right)
-        replayer = SnapshotReplay(self._owned_slots(plan.right))
+        replayer = SnapshotReplay(owned_slots(self.manager, plan.right))
         return joins.CrossIt(self.runtime, left, right, replayer)
 
     def _build_SemiJoin(self, plan: ops.SemiJoin) -> Iterator:
@@ -291,12 +370,7 @@ class CodeGenerator:
         )
 
     def _build_Concat(self, plan: ops.Concat) -> Iterator:
-        # Alias every branch's result attribute to the shared union
-        # attribute *before* compiling the branches, so their subtrees
-        # write directly into the union register.
-        self.manager.slot(plan.result_attr)
-        for branch in plan.inputs:
-            if branch.result_attr is None:
-                raise CodegenError("union branch lacks a result attribute")
-        inputs = [self.build(branch) for branch in plan.inputs]
+        # The layout allocated the union register before the branches,
+        # so their subtrees write directly into it.
+        inputs = [self.build(branch) for branch in union_inputs(plan)]
         return joins.ConcatIt(self.runtime, inputs)

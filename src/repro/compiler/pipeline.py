@@ -2,8 +2,10 @@
 
 Orchestrates the six phases of section 5.1.  Phase order here is
 parse → semantic analysis → rewrite (constant folding) → normalization →
-translation → code generation; folding runs before normalization so the
-cheap/expensive cost classification sees the folded clauses.
+translation → (optional) plan optimization → physical plan generation;
+folding runs before normalization so the cheap/expensive cost
+classification sees the folded clauses.  :meth:`XPathCompiler.back_end`
+is the last two, shared with the collection's worker-side compile.
 
 :class:`CompiledQuery` is the user-facing artifact: it exposes the AST,
 the logical plan (pretty-printable) and ``evaluate()``.
@@ -25,18 +27,12 @@ from repro.algebra import operators as ops
 from repro.algebra import scalar as S
 from repro.algebra.printer import plan_to_string
 from repro.algebra.properties import free_variables
-from repro.compiler.codegen import CodeGenerator
 from repro.compiler.improved import TranslationOptions
 from repro.compiler.normalize import normalize
+from repro.compiler.physical import CodeGenerator, top_slots
 from repro.compiler.rewrite import fold_constants
 from repro.compiler.semantic import analyze
-from repro.compiler.translate import (
-    TOP_CONTEXT_ATTR,
-    TOP_POSITION_ATTR,
-    TOP_SIZE_ATTR,
-    TranslationResult,
-    Translator,
-)
+from repro.compiler.translate import TOP_ATTRS, TranslationResult, Translator
 from repro.dom.node import Node
 from repro.engine.context import ExecutionContext
 from repro.engine.iterator import RuntimeState
@@ -49,9 +45,7 @@ from repro.xpath.parser import parse_xpath
 from repro.xpath.xast import Expr
 
 #: Attributes the execution context may bind (everything else is a bug).
-_ALLOWED_FREE = frozenset(
-    {TOP_CONTEXT_ATTR, TOP_POSITION_ATTR, TOP_SIZE_ATTR}
-)
+_ALLOWED_FREE = frozenset(TOP_ATTRS)
 
 #: Under ``codegen="auto"`` a plan is emitted as Python on this
 #: execution and runs generated from then on; earlier executions
@@ -286,11 +280,11 @@ class CompiledQuery:
         ``stream_sort_fallbacks`` — the answer cannot be known in order
         before it is complete).
 
-        Always interprets the iterator tree (the generated-Python
-        backend materializes internally and gains nothing from
-        streaming).  The returned generator must be consumed on the
-        thread that created it — it drives that thread's private plan
-        instance — and closed before the same thread starts another
+        Always interprets the iterator tree: a generated plan's
+        function yields its results one by one too, but streaming from
+        it is not wired yet.  The returned generator must be consumed
+        on the thread that created it — it drives that thread's private
+        plan instance — and closed before the same thread starts another
         evaluation of this query.
         """
         context = self._context(
@@ -477,7 +471,6 @@ class XPathCompiler:
         # Phase 5: translation into the algebra.
         translator = Translator(self.options)
         translation = timed("translate", lambda: translator.translate(ast))
-        optimizer_report = None
         if translation.kind == "scalar":
             # Wrap the top-level scalar in χ over □ so there is a single
             # uniform plan representation.
@@ -490,10 +483,23 @@ class XPathCompiler:
             )
             translation.result_attr = _SCALAR_RESULT_ATTR
 
-        # Phase 5b (optional): rule-driven plan optimization.  An
-        # indexed target enables the pass even without optimize=True —
-        # index routing is what makes the target's indexes reachable —
-        # and so does the cost optimizer (its estimates feed EXPLAIN).
+        return self.back_end(query, ast, translation, timings)
+
+    def back_end(
+        self, query: str, ast: Optional[Expr],
+        translation: TranslationResult, timings: Dict[str, float],
+    ) -> CompiledQuery:
+        """Phases 5b and 6 of one translation, timed into ``timings``.
+
+        Phase 5b, rule-driven plan optimization, runs when
+        ``optimize=True`` asks for it, on an indexed target (index
+        routing is what makes its indexes reachable) and under the cost
+        optimizer (its estimates feed EXPLAIN).  Phase 6 builds the
+        physical plan.  The collection's worker-side
+        :func:`~repro.collection.plans.compile_shipped` ends here too,
+        so a shard compiles exactly as a single document does.
+        """
+        optimizer_report = None
         if (self.options.optimize or self.index_info is not None
                 or self.optimizer == "cost"):
             from repro.compiler.optimize import optimize_plan
@@ -507,20 +513,15 @@ class XPathCompiler:
                 optimizer=self.optimizer,
             )
             timings["optimize"] = time.perf_counter() - start
-
-        # Phase 6: code generation.
-        physical = timed("codegen", lambda: self._generate(translation))
+        start = time.perf_counter()
+        physical = generate_physical(translation, self.options)
+        timings["codegen"] = time.perf_counter() - start
         compiled = CompiledQuery(
             query, ast, translation, physical, self.options
         )
         compiled.optimizer_report = optimizer_report
         compiled.phase_timings = timings
         return compiled
-
-    # ------------------------------------------------------------------
-
-    def _generate(self, translation: TranslationResult) -> PhysicalPlan:
-        return generate_physical(translation, self.options)
 
 
 def generate_physical(
@@ -551,14 +552,8 @@ def generate_physical(
     result_slot = manager.slot(translation.result_attr)
 
     runtime.regs = manager.make_registers()
+    # top_slots: the context, position and size registers, in order.
     return PhysicalPlan(
-        root=root,
-        runtime=runtime,
-        manager=manager,
-        result_slot=result_slot,
-        kind=translation.kind,
-        context_slot=manager.lookup(TOP_CONTEXT_ATTR),
-        position_slot=manager.lookup(TOP_POSITION_ATTR),
-        size_slot=manager.lookup(TOP_SIZE_ATTR),
-        resettable=generator.resettable,
+        root, runtime, manager, result_slot, translation.kind,
+        *top_slots(manager), resettable=generator.resettable,
     )

@@ -53,6 +53,7 @@ from repro.xpath.xast import (
 TOP_CONTEXT_ATTR = "cn"
 TOP_POSITION_ATTR = "cp_top"
 TOP_SIZE_ATTR = "cs_top"
+TOP_ATTRS = (TOP_CONTEXT_ATTR, TOP_POSITION_ATTR, TOP_SIZE_ATTR)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
-"""Executable physical plans.
+"""Executable physical plans and the one execution driver.
 
-:class:`PhysicalPlan` owns the iterator tree, the register file and the
-execution entry points.  A plan is compiled once per query and can be
-executed many times with different contexts; memoizing iterators
-(χ^mat, MemoX) are reset between executions so results never leak across
-documents or context nodes.
+:class:`PhysicalPlan` owns the iterator tree and the register file.  A
+plan is compiled once per query and can be executed many times with
+different contexts; memoizing iterators (χ^mat, MemoX) are reset
+between executions so results never leak across documents or context
+nodes.
+
+Every plan — this module's :class:`PhysicalPlan` and a generated
+:class:`~repro.codegen.GeneratedPlan` — has a ``kind`` and a
+``rows(context)`` generator of result values, and runs through the
+driver below: :func:`collect_results` and :func:`count_results` are
+its ``execute`` and ``execute_count``, and :func:`stream_results` the
+interpreter's ``execute_stream``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,64 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator as PyIterator, List, Optional, Sequence
 
-from repro.dom.node import Node
 from repro.engine.context import ExecutionContext
 from repro.engine.iterator import Iterator, RuntimeState
 from repro.engine.tuples import AttributeManager
 from repro.errors import ExecutionError
 from repro.xpath.datamodel import XPathValue
+
+
+def _admitted_rows(plan, context: ExecutionContext):
+    """``plan.rows(context)`` after the admission check: a query whose
+    deadline passed while it waited for a worker (or whose cancel token
+    already tripped) aborts before touching a single page."""
+    if context.governor is not None:
+        context.governor.check()
+    return plan.rows(context)
+
+
+def stream_results(
+    plan, context: ExecutionContext
+) -> PyIterator[XPathValue]:
+    """Run ``plan`` yielding its results one at a time.
+
+    The rows start on the first ``next()`` and are closed when this
+    generator is exhausted, garbage-collected or ``close()``d; a caller
+    that abandons a stream must close it before reusing an interpreted
+    plan instance.  A scalar plan must yield exactly one value.
+    """
+    governor = context.governor
+    rows = _admitted_rows(plan, context)
+    try:
+        if plan.kind == "scalar":
+            for value in rows:
+                yield value
+                return
+            raise ExecutionError("scalar plan produced no tuple")
+        for value in rows:
+            if governor is not None:
+                # Every result item is a materialization like any
+                # other; a star-join producing millions of nodes trips
+                # the byte budget here even though every operator
+                # upstream pipelines.
+                governor.add_bytes(16)
+            yield value
+    finally:
+        rows.close()
+
+
+def collect_results(plan, context: ExecutionContext) -> XPathValue:
+    """Run ``plan``; node-set results are collected as a list."""
+    if context.governor is None and plan.kind == "sequence":
+        # Ungoverned: nothing to check or charge per item.
+        return list(plan.rows(context))
+    results = list(stream_results(plan, context))
+    return results if plan.kind == "sequence" else results[0]
+
+
+def count_results(plan, context: ExecutionContext) -> int:
+    """Run ``plan`` counting its result tuples without collecting them."""
+    return sum(1 for _ in _admitted_rows(plan, context))
 
 
 @dataclass(frozen=True)
@@ -64,11 +123,6 @@ class PhysicalPlan:
         runtime = self.runtime
         runtime.context = context
         runtime.governor = context.governor
-        # Admission check: a query whose deadline passed while it waited
-        # for a worker (or whose cancel token already tripped) aborts
-        # before touching a single page.
-        if context.governor is not None:
-            context.governor.check()
         for index in range(len(runtime.regs)):
             runtime.regs[index] = None
         if self.context_slot is not None:
@@ -80,75 +134,21 @@ class PhysicalPlan:
         for iterator in self.resettable:
             _reset_memo(iterator)
 
-    def execute(self, context: ExecutionContext) -> XPathValue:
-        """Run the plan; node-set results are collected as a list."""
+    def rows(self, context: ExecutionContext) -> PyIterator[XPathValue]:
+        """One execution: the result register of every tuple the
+        iterator tree produces."""
         self._prepare(context)
-        regs = self.runtime.regs
-        self.root.open()
+        root, regs, slot = self.root, self.runtime.regs, self.result_slot
+        root.open()
         try:
-            if self.kind == "scalar":
-                if not self.root.next():
-                    raise ExecutionError("scalar plan produced no tuple")
-                return regs[self.result_slot]  # type: ignore[return-value]
-            results: List[Node] = []
-            governor = self.runtime.governor
-            while self.root.next():
-                results.append(regs[self.result_slot])  # type: ignore[arg-type]
-                if governor is not None:
-                    # The result list is a materialization like any
-                    # other; a star-join producing millions of nodes
-                    # trips the byte budget here even though every
-                    # operator upstream pipelines.
-                    governor.add_bytes(16)
-            return results
+            while root.next():
+                yield regs[slot]
         finally:
-            self.root.close()
+            root.close()
 
-    def execute_stream(
-        self, context: ExecutionContext
-    ) -> PyIterator[XPathValue]:
-        """Run the plan yielding result tuples one at a time.
-
-        The lazy sibling of :meth:`execute`: nothing is collected, so a
-        consumer that stops early (or pages results out over a network)
-        never holds the whole answer in memory.  The iterator tree is
-        opened on first ``next()`` and closed when the generator is
-        exhausted, garbage-collected, or ``close()``d — callers that
-        abandon a stream mid-way must close it (``with
-        contextlib.closing`` or by letting it go out of scope) before
-        reusing this plan instance.  Governance accounting matches
-        :meth:`execute` (each yielded node charges the same
-        materialization bytes), so a budget that aborts the materialized
-        path aborts the streamed one at the same point.
-        """
-        self._prepare(context)
-        regs = self.runtime.regs
-        self.root.open()
-        try:
-            if self.kind == "scalar":
-                if not self.root.next():
-                    raise ExecutionError("scalar plan produced no tuple")
-                yield regs[self.result_slot]
-                return
-            governor = self.runtime.governor
-            while self.root.next():
-                if governor is not None:
-                    governor.add_bytes(16)
-                yield regs[self.result_slot]
-        finally:
-            self.root.close()
-
-    def execute_count(self, context: ExecutionContext) -> int:
-        """Run the plan counting result tuples (benchmark entry point)."""
-        self._prepare(context)
-        self.root.open()
-        try:
-            count = 0
-            while self.root.next():
-                count += 1
-            return count
-        finally:
-            self.root.close()
+    execute = collect_results
+    execute_stream = stream_results
+    execute_count = count_results
 
     @property
     def stats(self) -> Counter:

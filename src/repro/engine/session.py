@@ -783,7 +783,9 @@ class XPathEngine:
             else:
                 codegen = options.codegen or self.codegen_mode
                 if sink == "pages":
-                    codegen = "off"  # the generated backend materializes
+                    # Generated streaming is not wired yet; streams
+                    # interpret.
+                    codegen = "off"
                 variables = options.variables
                 namespaces = options.namespace_map()
                 scope.plan = plan
@@ -882,10 +884,11 @@ class XPathEngine:
           the stream is *created*, so the deadline covers the whole
           consumption, and a tripped limit raises the typed governance
           error out of the page iterator mid-stream,
-        * streams always *interpret* the iterator tree — the generated
-          Python backend materializes internally and has nothing to
-          stream — so an effective ``codegen`` of ``"auto"`` or
-          ``"force"`` is not an error here, it just does not apply,
+        * streams always *interpret* the iterator tree — a generated
+          plan's function yields its results one by one too, but
+          streaming from it is not wired yet — so an effective
+          ``codegen`` of ``"auto"`` or ``"force"`` is not an error
+          here, it just does not apply,
         * streams are **not** coalesced: each consumer paces its own
           pull, so two identical streams cannot share one execution the
           way two :meth:`evaluate` calls do,

@@ -108,7 +108,7 @@ class TestVisitor:
 
 class TestUnnestOperator:
     def test_mu_unnests_collected_sequences(self):
-        from repro.compiler.codegen import CodeGenerator
+        from repro.compiler.physical import CodeGenerator
         from repro.engine.context import ExecutionContext
         from repro.engine.iterator import RuntimeState
         from repro.xpath.axes import Axis, NodeTestKind

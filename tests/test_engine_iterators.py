@@ -5,7 +5,7 @@ import pytest
 from repro import parse_document
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
-from repro.compiler.codegen import CodeGenerator
+from repro.compiler.physical import CodeGenerator
 from repro.compiler.improved import TranslationOptions
 from repro.engine.context import ExecutionContext
 from repro.engine.iterator import RuntimeState

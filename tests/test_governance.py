@@ -573,12 +573,10 @@ class TestBatchGovernance:
     def test_budget_is_cumulative_across_the_batch(self):
         engine = XPathEngine()
         # Each query alone fits in the budget; together they do not.
+        budget = EvalOptions(max_tuples=1000)
+        assert engine.evaluate("count(/a/b)", BIG, budget) == 400.0
         with pytest.raises(QueryBudgetError):
-            engine.evaluate_many(
-                ["count(//b)", "count(//b)", "count(//b)"],
-                BIG,
-                EvalOptions(max_tuples=1000),
-            )
+            engine.evaluate_many(["count(/a/b)"] * 3, BIG, budget)
 
     def test_each_query_is_one_governed_run(self):
         engine = XPathEngine()
@@ -608,3 +606,52 @@ class TestBatchGovernance:
         assert engine.evaluate_many(
             ["count(//c)", "count(//b)"], SMALL
         ) == [3.0, 2.0]
+
+
+# ----------------------------------------------------------------------
+# The result contract every backend shares: 16 bytes per result item
+# ----------------------------------------------------------------------
+
+
+def _run_driver(driver, compiled, governor):
+    if driver == "stream":
+        return list(compiled.evaluate_stream(BIG.root, governor=governor))
+    return compiled.evaluate(BIG.root, governor=governor, codegen=driver)
+
+
+class TestResultItemBytes:
+    @pytest.mark.parametrize("driver", ["off", "force", "stream"])
+    @pytest.mark.parametrize("query", ["/a/b", "//c", "/a/b/c"])
+    def test_each_result_item_charges_16_bytes(self, driver, query):
+        compiled = compile_xpath(query)
+        governor = ResourceGovernor()
+        result = _run_driver(driver, compiled, governor)
+        assert governor.bytes == 16 * len(result)
+        fits = ResourceGovernor(max_bytes=16 * len(result))
+        assert len(_run_driver(driver, compiled, fits)) == len(result)
+        with pytest.raises(QueryBudgetError):
+            _run_driver(
+                driver, compiled,
+                ResourceGovernor(max_bytes=16 * len(result) - 1),
+            )
+
+    @pytest.mark.parametrize("backend", ["interpreted", "generated"])
+    def test_scalar_plan_without_a_tuple_is_an_execution_error(
+        self, backend
+    ):
+        from repro.algebra import operators as ops
+        from repro.algebra import scalar as S
+        from repro.codegen import generate_python
+        from repro.compiler.pipeline import generate_physical
+        from repro.engine.context import ExecutionContext
+        from repro.errors import ExecutionError
+
+        compiled = compile_xpath("count(/a/b)")
+        translation = compiled.translation
+        translation.plan = ops.Select(translation.plan, S.SConst(False))
+        if backend == "interpreted":
+            plan = generate_physical(translation, compiled.options)
+        else:
+            plan = generate_python(translation, compiled.options)
+        with pytest.raises(ExecutionError, match="produced no tuple"):
+            plan.execute(ExecutionContext(BIG.root))

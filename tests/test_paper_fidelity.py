@@ -5,7 +5,7 @@ import pytest
 from repro import compile_xpath, parse_document, TranslationOptions
 from repro.algebra import operators as ops
 from repro.algebra import scalar as S
-from repro.compiler.codegen import CodeGenerator
+from repro.compiler.physical import CodeGenerator
 from repro.engine.context import ExecutionContext
 from repro.engine.iterator import RuntimeState
 from repro.engine.tuples import AttributeManager
